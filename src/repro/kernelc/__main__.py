@@ -5,7 +5,6 @@ Usage::
     python -m repro.kernelc FILE.cl            # compile, report kernels
     python -m repro.kernelc FILE.cl --ast      # print the parsed AST
     python -m repro.kernelc FILE.cl --print    # pretty-print the source
-    python -m repro.kernelc FILE.cl --python   # show the compiled Python
     python -m repro.kernelc FILE.cl --lint     # run the lint pass
     python -m repro.kernelc FILE.cl --access   # show affine access summaries
     python -m repro.kernelc FILE.py --lint     # lint kernel strings in a
@@ -24,7 +23,6 @@ import argparse
 import sys
 import textwrap
 
-from .compiler import compile_program
 from .diagnostics import CompileError, Severity
 from .frontend import compile_source
 from .lint import lint_program
@@ -142,8 +140,6 @@ def main(argv=None) -> int:
     parser.add_argument("--ast", action="store_true", help="dump the checked AST")
     parser.add_argument("--print", dest="pretty", action="store_true",
                         help="pretty-print the parsed source")
-    parser.add_argument("--python", action="store_true",
-                        help="show the compiled Python code")
     parser.add_argument("--lint", action="store_true",
                         help="run the lint pass (exit 1 on lint errors); on a "
                              ".py file, lint every embedded kernel string")
@@ -200,9 +196,6 @@ def main(argv=None) -> int:
         from .printer import print_program
 
         sys.stdout.write(print_program(program))
-    elif args.python:
-        compiled = compile_program(program)
-        sys.stdout.write(compiled.source_code)
     else:
         kernels = ", ".join(k.name for k in program.kernels()) or "(none)"
         helpers = [f.name for f in program.functions if not f.is_kernel]

@@ -1,4 +1,4 @@
-"""Execution-model pieces shared by the interpreter and compiled kernels:
+"""Execution-model pieces shared by both execution engines:
 
 * :class:`WorkItemContext` — work-item ids/sizes for the builtin queries,
 * :class:`ExecutionCounters` — operation and memory traffic counters,
@@ -59,7 +59,7 @@ class WorkItemContext:
     """Identity of one work-item within an NDRange execution.
 
     All tuples are padded to three entries at construction (ids with 0,
-    sizes with 1) so compiled kernels can index them directly; the real
+    sizes with 1) so the engines can index them directly; the real
     dimensionality is preserved in ``work_dim``.
     """
 
@@ -147,10 +147,26 @@ def c_fdiv(a: float, b: float) -> float:
     return a / b
 
 
-def c_fmod(a: float, b: float) -> float:
-    if b == 0.0:
-        return math.nan
-    return math.fmod(a, b)
+# Python's operator for each C binary operator whose semantics it shares
+# on already-converted operands (the engines add C's division, masking
+# and wrapping around them).
+OPERATORS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "%": lambda a, b: a % b,
+    "<<": lambda a, b: a << b,
+    ">>": lambda a, b: a >> b,
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
 
 
 def scalar_binary(op: str, a, b, ctype: ScalarType):
@@ -250,13 +266,6 @@ def convert_value(value, ctype: CType):
     if ctype.is_void():
         return None
     return convert_scalar(value, ctype)
-
-
-def truthy(value) -> bool:
-    """C truth value of a scalar or pointer."""
-    if isinstance(value, Pointer):
-        return True
-    return bool(value)
 
 
 def copy_value(value):

@@ -1,4 +1,4 @@
-"""Runtime value representation shared by the interpreter and compiler.
+"""Runtime value representation of the per-item interpreter.
 
 Scalars are plain Python ``int``/``float`` (converted to C semantics at
 casts and stores).  Vectors are :class:`VecValue`.  Pointers are

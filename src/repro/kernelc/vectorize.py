@@ -1,4 +1,4 @@
-"""Vectorized (lockstep) NDRange backend.
+"""Vectorized (lockstep) NDRange engine.
 
 Evaluates a type-checked kernel AST over every selected work-item of an
 NDRange at once, using numpy array operations: one statement is executed
@@ -7,35 +7,27 @@ become masked selects, loops become fixed-point iteration over a
 shrinking live-lane mask, buffer accesses become gathers/scatters, and
 ``barrier()`` becomes a per-group all-or-none mask check.
 
-The backend is a drop-in replacement for the per-item compiled path
-(:mod:`.compiler` + ``ocl.executor``) and is held to a *bit-exactness
-contract*: for any conforming kernel, output buffers and every
-``ExecutionCounters`` field (ops, warp_ops, barriers, memory traffic)
-must equal the per-item backend's.  ``tests/kernelc/
-test_vectorize_differential.py`` enforces the contract with generated
-kernels.
+It is the production engine and is held to a *bit-exactness contract*
+with the per-item reference interpreter (:mod:`.interp`): for any
+conforming kernel, output buffers and every ``ExecutionCounters`` field
+(ops, warp_ops, barriers, memory traffic) must be equal.
+``tests/kernelc/test_vectorize_differential.py`` enforces the contract
+with generated kernels.  Both engines share:
 
-How parity is achieved
-----------------------
-
-* **Ops / CSE.**  The per-item compiler charges each statement a static
-  op cost, corrected for loads elided by its basic-block CSE.  Rather
-  than re-deriving those numbers, this module re-runs the compiler with
-  recording hooks (:class:`_RecordingCompiler`) and replays the exact
-  charge schedule (``{statement-key: ops}``) and CSE decisions
-  (``{elided-load-id: source-load-id}``) per lane.
-* **Value domains.**  The compiled backend computes floats in double and
-  signed ints with Python's arbitrary precision, masking unsigned ints
-  at every op ("relaxed fast math").  Here, per-lane values live in
+* **the charge schedule** of the static cost pass (:mod:`.cost`):
+  ``{expression-id: ops}`` charged to every active lane when a
+  statement runs, and ``{elided-load-id: source-load-id}``, whose
+  elided loads reuse their source's lane values;
+* **the value contract**: floats computed in double and rounded at
+  stores and casts, signed ints exact and wrapped at stores and casts,
+  unsigned ints masked at every op.  Here per-lane values live in
   ``float64``/``int64`` arrays (unsigned 8-byte values as 64-bit
   patterns) and *uniform* values stay exact Python scalars, so any
   value a conforming kernel can produce is represented exactly.
   Divergence is only possible under C undefined behaviour (signed
-  overflow past 64 bits, out-of-range float→int casts).
-* **Constant folding.**  ``compile_expr`` folds every non-literal
-  subtree first (which rounds float constants to their declared width);
-  the evaluator calls the identical ``fold_constants`` with a
-  scope-mirrored const lookup before dispatching.
+  overflow past 64 bits, out-of-range float→int casts);
+* **constant folding**: the evaluator calls the same ``fold_constants``
+  with a scope-mirrored const lookup before dispatching.
 
 Intentional differences (documented, all under undefined behaviour):
 
@@ -55,7 +47,7 @@ Intentional differences (documented, all under undefined behaviour):
 Kernels using constructs with no lockstep lowering (vector types,
 pointer casts, recursion, barriers inside helper functions, …) are
 rejected statically by :func:`plan_for` and fall back transparently to
-the per-item backend.  ``switch`` statements run as masked case
+the per-item interpreter.  ``switch`` statements run as masked case
 dispatch: every lane computes its entry case, then the cases execute in
 order with the union of lanes that have reached them (C fallthrough),
 ``break`` peeling lanes off into the switch's break mask.
@@ -70,8 +62,8 @@ import numpy as np
 
 from . import ast
 from .builtins import ResolvedBuiltin, _strip_prefix
-from .compiler import (_FunctionCompiler, _ProgramCompiler, CompiledKernel,
-                       _is_literal, fold_constants, node_cost)
+from .compiler import CompiledKernel
+from .cost import _CMP_OPS, _is_literal, fold_constants
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -81,7 +73,7 @@ from .ctypes_ import (
     convert_scalar,
     numpy_dtype,
 )
-from .execmodel import c_fdiv, c_idiv, c_imod
+from .execmodel import OPERATORS, c_fdiv, c_idiv, c_imod
 from .interp import Machine, apply_builtin
 from .memory import KernelFault
 
@@ -89,7 +81,6 @@ _I64 = np.int64
 _U64 = np.uint64
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
-_CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 
 
 class VectorizeError(RuntimeError):
@@ -97,68 +88,37 @@ class VectorizeError(RuntimeError):
     represent (currently: merging divergent pointer values)."""
 
 
-# ---------------------------------------------------------------------------
-# Recording pass: replay the per-item compiler's charge/CSE schedule.
-# ---------------------------------------------------------------------------
-
-
-class _RecordingCompiler(_FunctionCompiler):
-    """Re-runs code generation purely to observe charge and CSE hooks."""
-
-    def __init__(self, program_compiler, function, record):
-        super().__init__(program_compiler, function)
-        self._record = record
-
-    def on_charge(self, key: tuple, final: int) -> None:
-        if final:
-            self._record.charges[key] = final
-
-    def record_cse(self, expr: ast.Expr, temp: str) -> None:
-        origin = self._load_origins.get(temp)
-        if origin is not None:
-            self._record.cse[id(expr)] = origin
-
-    def compile_switch(self, stmt: ast.SwitchStmt) -> None:
-        # compile_switch charges its upfront cost via the direct
-        # ``charge()`` emitter, which bypasses the on_charge hook —
-        # record it explicitly so the evaluator can replay it.
-        self._record.charges[(id(stmt), "switch")] = \
-            node_cost(stmt.subject) + len(stmt.cases)
-        super().compile_switch(stmt)
-
-
-class _ProgramRecord:
-    """Per-``ast.Program`` data shared by all of its kernels' plans."""
-
-    def __init__(self, program: ast.Program):
-        self.charges: Dict[tuple, int] = {}
-        self.cse: Dict[int, int] = {}
-        pc = _ProgramCompiler(program)
-        for function in program.functions:
-            _RecordingCompiler(pc, function, self).compile()
-        self.globals: Dict[str, object] = {}
-        if program.globals:
-            machine = Machine(program)
-            for global_decl in program.globals:
-                name = global_decl.decl.name
-                value = machine.globals[name]
-                if hasattr(value, "pointer"):  # ArrayRef
-                    ptr = value.pointer
-                    vptr = VPtr(ptr.array, ptr.element_type, ptr.address_space,
-                                None, ptr.length, ptr.offset, None)
-                    self.globals[name] = VArray(vptr, value.element)
-                else:
-                    self.globals[name] = value
+def _program_globals(kernel: CompiledKernel) -> Dict[str, object]:
+    """``__constant`` data of the kernel's program as vector-engine
+    values, cached on the program (its kernels' plans share it)."""
+    program = kernel.program
+    cached = getattr(program, "_vector_globals", None)
+    if cached is not None:
+        return cached
+    values: Dict[str, object] = {}
+    if program.globals:
+        machine = Machine(program, schedule=kernel.schedule)
+        for global_decl in program.globals:
+            name = global_decl.decl.name
+            value = machine.globals[name]
+            if hasattr(value, "pointer"):  # ArrayRef
+                ptr = value.pointer
+                vptr = VPtr(ptr.array, ptr.element_type, ptr.address_space,
+                            None, ptr.length, ptr.offset, None)
+                value = VArray(vptr, value.element)
+            values[name] = value
+    program._vector_globals = values
+    return values
 
 
 class _KernelPlan:
     __slots__ = ("kernel", "charges", "cse", "globals")
 
-    def __init__(self, kernel: CompiledKernel, record: _ProgramRecord):
+    def __init__(self, kernel: CompiledKernel):
         self.kernel = kernel
-        self.charges = record.charges
-        self.cse = record.cse
-        self.globals = record.globals
+        self.charges = kernel.schedule.charges
+        self.cse = kernel.schedule.cse
+        self.globals = _program_globals(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +171,6 @@ def _function_reject_reason(fn: ast.FunctionDef) -> Optional[str]:
 
 def reject_reason(kernel: CompiledKernel) -> Optional[str]:
     """Why ``kernel`` cannot run on the vector backend (None = it can)."""
-    if kernel.program is None:
-        return "kernel compiled without its owning program"
     # Reachable user functions (cycle detection rejects recursion).
     order: List[ast.FunctionDef] = []
     state: Dict[int, int] = {}  # id(fn) -> 1 visiting, 2 done
@@ -254,19 +212,13 @@ _MISSING = object()
 
 def plan_for(kernel: CompiledKernel) -> Optional[_KernelPlan]:
     """An execution plan for ``kernel``, or None when the kernel must
-    fall back to the per-item backend.  Cached on the kernel (and the
-    recording pass on its program, shared by sibling kernels)."""
+    fall back to the per-item interpreter.  Cached on the kernel."""
     cached = kernel.__dict__.get("_vector_plan", _MISSING)
     if cached is not _MISSING:
         return cached
     plan: Optional[_KernelPlan] = None
     if reject_reason(kernel) is None:
-        program = kernel.program
-        record = getattr(program, "_vectorize_record", None)
-        if record is None:
-            record = _ProgramRecord(program)
-            program._vectorize_record = record
-        plan = _KernelPlan(kernel, record)
+        plan = _KernelPlan(kernel)
     kernel._vector_plan = plan
     return plan
 
@@ -279,7 +231,7 @@ def plan_for(kernel: CompiledKernel) -> Optional[_KernelPlan]:
 class VNull:
     """The null-pointer sentinel (default value of pointer variables).
 
-    Mirrors the compiled backend's ``_NULLPTR``: truthy, compares
+    Mirrors the interpreter's ``NULL_POINTER``: truthy, compares
     unequal to real pointers without faulting, faults on any use."""
 
     _instance: Optional["VNull"] = None
@@ -513,7 +465,7 @@ def _float_lanes_to_int(values: np.ndarray, mask) -> np.ndarray:
 
 
 def _wrap_signed_lanes(v, bits: int):
-    """``_sw{bits}`` of the compiled backend, valid on both domains."""
+    """Two's-complement wrap to ``bits``, valid on both domains."""
     if not isinstance(v, np.ndarray):
         half = 1 << (bits - 1)
         return ((int(v) + half) & ((1 << bits) - 1)) - half
@@ -614,7 +566,7 @@ class _Evaluator:
     # -- charging ----------------------------------------------------------
 
     def _charge(self, node: ast.Node, mask: np.ndarray) -> None:
-        cost = self.plan.charges.get((id(node),))
+        cost = self.plan.charges.get(id(node))
         if cost:
             self.ops_lanes[mask] += cost
 
@@ -902,11 +854,8 @@ class _Evaluator:
         return value
 
     def _stmt_SwitchStmt(self, stmt, mask):
-        # The per-item compiler charges subject cost + one comparison per
-        # case upfront (recorded under the (id, "switch") key).
-        cost = self.plan.charges.get((id(stmt), "switch"))
-        if cost:
-            self.ops_lanes[mask] += cost
+        # Subject cost + one comparison per case, charged upfront.
+        self._charge(stmt, mask)
         subject = self._switch_pattern(self.eval(stmt.subject, mask))
         num_cases = len(stmt.cases)
         # Entry point per lane: the first matching case in case order,
@@ -1053,7 +1002,7 @@ class _Evaluator:
 
     def _lvalue(self, expr, mask) -> Tuple[VPtr, object]:
         """Pointer + element index for a memory lvalue (mirrors
-        ``_compile_lvalue``; variable targets are handled by callers)."""
+        ``Interpreter._place``; variable targets are handled by callers)."""
         if isinstance(expr, ast.Index):
             if isinstance(expr.base.ctype, ArrayType):
                 flattened = self._flatten_access(expr, mask)
@@ -1073,7 +1022,7 @@ class _Evaluator:
         raise KernelFault(f"expression is not assignable: {type(expr).__name__}")
 
     def _flatten_access(self, expr: ast.Index, mask):
-        """Mirror of ``_flatten_array_access``: full multi-dim accesses
+        """Mirror of ``Interpreter._flatten``: full multi-dim accesses
         collapse to (root VArray, flat index value)."""
         if isinstance(expr.ctype, ArrayType):
             return None
@@ -1236,7 +1185,7 @@ class _Evaluator:
             if op == ">>" and is_unsigned:
                 left = self._mask_unsigned(left, op_type)
             return self._mask_unsigned(self._shift(op, left, right, op_type), op_type)
-        # Strength reduction, mirrored from the compiled backend (it
+        # Strength reduction, as the cost pass assumes (it
         # changes float signed-zero results: -0.0 + 0 stays -0.0).
         if op == "*":
             if _is_literal(expr.right, 1, 1.0):
@@ -1258,18 +1207,18 @@ class _Evaluator:
 
     def _arith(self, op: str, left, right, float_domain: bool):
         if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right)
+            return OPERATORS[op](left, right)
         if float_domain:
             left = _float_lanes(left, self.n)
             right = _float_lanes(right, self.n)
         else:
             left = _int_lanes(left, self.n)
             right = _int_lanes(right, self.n)
-        return _PY_OPS[op](left, right)
+        return OPERATORS[op](left, right)
 
     def _compare(self, op: str, left, right, op_type: ScalarType):
         if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right)
+            return OPERATORS[op](left, right)
         if op_type.is_float():
             left = _float_lanes(left, self.n)
             right = _float_lanes(right, self.n)
@@ -1280,7 +1229,7 @@ class _Evaluator:
         else:
             left = _int_lanes(left, self.n)
             right = _int_lanes(right, self.n)
-        return _PY_OPS[op](left, right).astype(_I64)
+        return OPERATORS[op](left, right).astype(_I64)
 
     def _fdiv(self, left, right, mask):
         if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
@@ -1328,7 +1277,7 @@ class _Evaluator:
     def _shift(self, op: str, left, right, op_type: ScalarType):
         bits = op_type.bits
         if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right % bits)
+            return OPERATORS[op](left, right % bits)
         la = _int_lanes(left, self.n)
         amount = _int_lanes(right, self.n) % _I64(bits)
         if op == "<<":
@@ -1530,7 +1479,7 @@ class _Evaluator:
     # -- conversions -------------------------------------------------------
 
     def _convert_relaxed(self, value, source, target, mask):
-        """Mirror of ``convert_code`` (relaxed fast-math conversions)."""
+        """Mirror of ``Interpreter._convert`` (relaxed implicit conversions)."""
         if source is None or source == target:
             return value
         if isinstance(source, ArrayType):
@@ -1603,23 +1552,6 @@ def _neg_scalar(v):
     return -v
 
 
-_PY_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "%": lambda a, b: a % b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
 
 
 def _np_fmin(x, y):

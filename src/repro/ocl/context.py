@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.races import RaceDetector, SanitizeMode, resolve_sanitize_mode
@@ -24,11 +25,11 @@ class Context:
         ``SKELCL_SANITIZE`` environment variable, so existing code is
         checked transparently when the switch is set.
 
-        ``backend`` selects the NDRange execution backend for every
-        queue: ``"vector"`` (lockstep numpy) or ``"interp"`` (per
-        work-item).  ``None`` defers to ``SKELCL_BACKEND``, then to the
-        default (``"vector"``).  Both backends are bit-exact and
-        counter-exact for conforming kernels."""
+        ``backend`` selects the NDRange execution engine for every
+        queue: ``"vector"`` (lockstep numpy) or ``"interp"`` (the much
+        slower per-item reference interpreter).  ``None`` defers to
+        ``SKELCL_BACKEND``, then to the default (``"vector"``).  Both
+        engines are bit-exact and counter-exact for conforming kernels."""
         from .executor import resolve_backend
 
         self.backend = resolve_backend(backend)
@@ -39,7 +40,9 @@ class Context:
         if not self.devices:
             raise InvalidValue("a context needs at least one device")
         self.queues: List[CommandQueue] = [CommandQueue(device) for device in self.devices]
-        self._buffers: List[Buffer] = []
+        # Held weakly: a buffer whose container was dropped must reach
+        # Buffer.__del__ and free its device memory.
+        self._buffers: "weakref.WeakSet[Buffer]" = weakref.WeakSet()
         # SkelScope metrics: one registry per context, shared by all
         # queues (commands counted at enqueue; timeline gauges derived
         # at snapshot time, once timestamps are resolved).
@@ -78,7 +81,7 @@ class Context:
     def create_buffer(self, nbytes: int, device: Optional[Device] = None, name: str = "") -> Buffer:
         target = device if device is not None else self.devices[0]
         buffer = Buffer(target, nbytes, name)
-        self._buffers.append(buffer)
+        self._buffers.add(buffer)
         return buffer
 
     def create_program(self, source: str, name: str = "<kernel>",
@@ -151,7 +154,7 @@ class Context:
         return render_timeline(self, width=width)
 
     def release(self) -> None:
-        for buffer in self._buffers:
+        for buffer in list(self._buffers):
             buffer.release()
         self._buffers.clear()
 

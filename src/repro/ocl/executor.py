@@ -1,19 +1,21 @@
 """NDRange execution on a simulated device.
 
-Two backends execute an NDRange:
+One value contract, one static charge schedule (:mod:`repro.kernelc.cost`)
+and two engines that execute it:
 
 ``vector`` (the default)
-    The lockstep numpy backend (:mod:`repro.kernelc.vectorize`): every
+    The lockstep numpy engine (:mod:`repro.kernelc.vectorize`): every
     selected work-item advances through the kernel simultaneously under
     active-lane masks.  Kernels using constructs with no lockstep
-    lowering fall back transparently to the per-item backend.
+    lowering fall back transparently to the interpreter.
 
 ``interp``
-    The original per-item path: every work-item runs the compiled
-    kernel function to completion (or, for ``barrier()`` kernels,
-    phase-by-phase as a Python generator with divergence detection).
+    The per-item reference interpreter (:mod:`repro.kernelc.interp`):
+    every work-item runs to completion, or, for ``barrier()`` kernels,
+    phase by phase with divergence detection.  It is much slower and
+    exists as the independent oracle the vectorizer is checked against.
 
-Both backends produce bit-identical buffers and identical
+Both engines produce bit-identical buffers and identical
 ``ExecutionCounters``; ``tests/kernelc/test_vectorize_differential.py``
 enforces this.  Select with the ``backend=`` argument (plumbed through
 ``Context``) or the ``SKELCL_BACKEND`` environment variable.
@@ -34,7 +36,7 @@ from typing import List, Optional, Sequence
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
 from ..kernelc.execmodel import ExecutionCounters, WorkItemContext
-from ..kernelc.interp import allocate_local_memory
+from ..kernelc.interp import Interpreter, Machine, allocate_local_memory
 from ..kernelc.memory import KernelFault
 from .errors import InvalidValue
 from .ndrange import NDRange
@@ -124,28 +126,25 @@ def execute_ndrange(
 
     local_size = ndrange.local_size
     global_size = ndrange.global_size
-    func = kernel.func
-    has_locals = bool(kernel.local_decls)
+    definition = kernel.definition
+    machine = Machine(kernel.program, counters, kernel.schedule)
 
     for group in selected:
-        if has_locals:
-            storage = allocate_local_memory(kernel.definition, counters)
-            lmem = [storage[id(decl)] for decl in kernel.local_decls]
-        else:
-            lmem = ()
+        storage = allocate_local_memory(definition, counters) if kernel.local_decls else {}
         base = tuple(g * l for g, l in zip(group, local_size))
-        contexts = [
-            WorkItemContext(
+        items = [
+            Interpreter(machine, WorkItemContext(
                 tuple(b + l for b, l in zip(base, local_id)),
                 local_id,
                 group,
                 global_size,
                 local_size,
-            )
+            ), storage)
             for local_id in local_ids
         ]
         if kernel.uses_barrier:
-            _run_group_with_barriers(func, counters, contexts, lmem, args)
+            _run_group_with_barriers(
+                [item.run_kernel(definition, args) for item in items])
         else:
             # Warp-divergence accounting: a 32-lane warp runs as long as
             # its slowest lane.  Work-items enumerate in local linear
@@ -153,8 +152,8 @@ def execute_ndrange(
             warp_max = 0
             lane = 0
             before = counters.ops
-            for ctx in contexts:
-                func(counters, ctx, lmem, *args)
+            for item in items:
+                item.run(definition, args)
                 item_ops = counters.ops - before
                 before = counters.ops
                 if item_ops > warp_max:
@@ -173,8 +172,7 @@ def execute_ndrange(
     return ExecutionResult(counters, len(groups), len(selected))
 
 
-def _run_group_with_barriers(func, counters, contexts, lmem, args) -> None:
-    generators = [func(counters, ctx, lmem, *args) for ctx in contexts]
+def _run_group_with_barriers(generators) -> None:
     alive = generators
     while alive:
         yielded: List = []

@@ -1,7 +1,7 @@
 """Programs: kernel source → checked AST → compiled kernels.
 
 ``Program.build()`` runs the full kernelc front-end, the lint pass and
-the compiling backend.  Builds are cached per ``(source, defines)`` so
+the static cost pass.  Builds are cached per ``(source, defines)`` so
 that skeleton libraries repeatedly instantiating the same generated
 source (as SkelCL does) only pay the compilation cost once.
 
@@ -69,7 +69,7 @@ class Program:
 
         # On-disk level: a prior process type-checked this exact
         # preprocessed source — skip re-parse/re-typecheck/lint and go
-        # straight to the compiling backend.
+        # straight to the cost pass.
         compiled = lint = None
         checked = None
         entry = progcache.load(preprocessed)

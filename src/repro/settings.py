@@ -19,7 +19,7 @@ The nine settings and their environment spellings:
 ========== ===================== ==============================================
 field      environment variable  meaning
 ========== ===================== ==============================================
-backend    ``SKELCL_BACKEND``    NDRange execution backend (``vector``/``interp``)
+backend    ``SKELCL_BACKEND``    execution engine: ``vector``, or ``interp`` (slow reference interpreter)
 cache      ``SKELCL_CACHE``      persistent compiled-program cache on/off
 cache_dir  ``SKELCL_CACHE_DIR``  program-cache location (default ``<dir>/programs``)
 dir        ``SKELCL_DIR``        base directory for on-disk SkelCL artifacts

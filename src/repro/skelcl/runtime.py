@@ -310,9 +310,10 @@ def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = Non
     ``"strict"`` raises :class:`repro.analysis.RaceError`; ``None``
     defers to ``skelcl.configure(sanitize=...)``, then ``SKELCL_SANITIZE``.
 
-    ``backend`` selects the NDRange execution backend (``"vector"`` or
-    ``"interp"``); ``None`` defers to ``skelcl.configure(backend=...)``,
-    then ``SKELCL_BACKEND``, then the vectorized default.
+    ``backend`` selects the NDRange execution engine (``"vector"`` or
+    ``"interp"``, the slow per-item reference interpreter); ``None``
+    defers to ``skelcl.configure(backend=...)``, then ``SKELCL_BACKEND``,
+    then the vectorized default.
 
     ``lazy`` enables the lazy skeleton planner (see :mod:`repro.plan`):
     skeleton calls defer into a plan and are fused at force time;

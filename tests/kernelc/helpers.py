@@ -1,4 +1,4 @@
-"""Test helpers: run a kernel through either backend without the full
+"""Test helpers: run a kernel through either engine without the full
 OpenCL runtime plumbing."""
 
 from __future__ import annotations
@@ -8,10 +8,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernelc import ExecutionCounters, WorkItemContext, compile_source
+from repro.kernelc import vectorize
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
-from repro.kernelc.interp import Interpreter, Machine, allocate_local_memory
 from repro.kernelc.memory import Pointer
+from repro.ocl.executor import execute_ndrange
+from repro.ocl.ndrange import NDRange
 
 
 def make_buffers(arrays: Dict[str, np.ndarray], counters: ExecutionCounters) -> Dict[str, Pointer]:
@@ -83,61 +85,19 @@ def run_kernel(
         for value, param in zip(runtime_args, definition.params)
     ]
 
-    if backend == "compiler":
-        compiled = compile_program(program).kernel(kernel_name)
-        for group, contexts in _contexts(tuple(global_size), tuple(local_size)):
-            storage = allocate_local_memory(definition, counters)
-            lmem = [storage[id(d)] for d in compiled.local_decls]
-            if compiled.uses_barrier:
-                generators = [compiled.func(counters, ctx, lmem, *runtime_args) for ctx in contexts]
-                alive = generators
-                while alive:
-                    next_alive = []
-                    for gen in alive:
-                        try:
-                            next(gen)
-                            next_alive.append(gen)
-                        except StopIteration:
-                            pass
-                    alive = next_alive
-            else:
-                for ctx in contexts:
-                    compiled.func(counters, ctx, lmem, *runtime_args)
-    elif backend == "vector":
-        from repro.kernelc import vectorize
-        from repro.ocl.ndrange import NDRange
-
-        compiled = compile_program(program).kernel(kernel_name)
-        plan = vectorize.plan_for(compiled)
-        if plan is None:
-            raise ValueError(
-                f"kernel {kernel_name!r} is not vectorizable: "
-                f"{vectorize.reject_reason(compiled)}"
-            )
-        ndrange = NDRange.create(tuple(global_size), tuple(local_size))
-        groups = list(ndrange.group_ids())
-        vectorize.execute(compiled, plan, ndrange, groups,
-                          list(ndrange.local_ids()), runtime_args, counters)
-    elif backend == "interp":
-        machine = Machine(program, counters)
-        for group, contexts in _contexts(tuple(global_size), tuple(local_size)):
-            storage = allocate_local_memory(definition, counters)
-            generators = [
-                Interpreter(machine, ctx, storage).run_kernel(definition, runtime_args)
-                for ctx in contexts
-            ]
-            alive = generators
-            while alive:
-                next_alive = []
-                for gen in alive:
-                    try:
-                        next(gen)
-                        next_alive.append(gen)
-                    except StopIteration:
-                        pass
-                alive = next_alive
-    else:
+    compiled = compile_program(program).kernel(kernel_name)
+    if backend == "vector" and vectorize.plan_for(compiled) is None:
+        raise ValueError(
+            f"kernel {kernel_name!r} is not vectorizable: "
+            f"{vectorize.reject_reason(compiled)}"
+        )
+    if backend not in ("compiler", "vector", "interp"):
         raise ValueError(f"unknown backend {backend!r}")
+    # "compiler" is the production path: the built program on the
+    # vectorizer, falling back to the interpreter where it must.
+    execute_ndrange(compiled, NDRange.create(tuple(global_size), tuple(local_size)),
+                    runtime_args, counters=counters,
+                    backend="interp" if backend == "interp" else "vector")
 
     results = {name: pointer.array for name, pointer in pointers.items()}
     return results, counters

@@ -46,11 +46,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FunctionDef" in out and "BinaryOp" in out
 
-    def test_python_output(self, kernel_file, capsys):
-        assert main([kernel_file, "--python"]) == 0
-        out = capsys.readouterr().out
-        assert "def _fn_add_one" in out
-
     def test_defines(self, tmp_path, capsys):
         path = tmp_path / "k.cl"
         path.write_text("#ifdef FAST\n__kernel void fast(__global int* o) { o[0] = 1; }\n#endif\n"

@@ -1,11 +1,12 @@
-"""Property-based differential testing: the compiling backend must agree
-with the reference interpreter on randomly generated programs, and both
-must agree with numpy on vectorizable arithmetic.
+"""Property-based differential testing: the production path (the
+vectorizer, with its per-item fallback) must agree bit for bit with the
+reference interpreter on randomly generated programs, and both must
+agree with numpy on vectorizable arithmetic.
 
 Programs are generated as source strings: random integer expression
-trees (division-safe), random float expressions (compared with
-tolerance, since the compiled backend evaluates float32 chains in double
-precision by design), and random loop bounds.
+trees (division-safe), random float expressions and random loop bounds.
+Both engines share one value contract (float32 chains evaluate in double
+and round at the store), so floats compare exactly too.
 """
 
 import numpy as np
@@ -158,13 +159,14 @@ class _C:
 class TestFloatExpressions:
     @given(expr=float_expr(), x=st.floats(-4, 4, width=32), y=st.floats(-4, 4, width=32))
     @settings(max_examples=60, deadline=None)
-    def test_backends_agree_with_tolerance(self, expr, x, y):
+    def test_backends_agree_bit_exact(self, expr, x, y):
         src = f"""__kernel void k(__global float* o, float x, float y) {{
             o[0] = {expr};
         }}"""
         arrays = {"o": np.zeros(1, np.float32)}
-        (c_res, _), (i_res, _) = run_both(src, "k", arrays, ["o", float(x), float(y)], 1)
-        np.testing.assert_allclose(c_res["o"], i_res["o"], rtol=1e-5, atol=1e-5)
+        (c_res, c_cnt), (i_res, i_cnt) = run_both(src, "k", arrays, ["o", float(x), float(y)], 1)
+        assert c_res["o"].tobytes() == i_res["o"].tobytes()
+        assert c_cnt == i_cnt
 
 
 class TestLoops:
@@ -251,12 +253,12 @@ class TestBarrierPrograms:
         assert c_cnt.barriers == i_cnt.barriers
 
 
-# -- three-way agreement: compiler, interpreter, and vectorizer ---------------
+# -- three-way agreement: production path, interpreter, and vectorizer ------
 #
-# ``run_kernel``'s "compiler" and "interp" paths drive work-items
-# directly (no executor warp loop), so warp_ops is compared end-to-end
-# in test_vectorize_differential.py instead; here the three backends
-# must agree on buffers, scalar ops, barriers, and memory traffic.
+# ``run_kernel``'s "compiler" path is what a built program runs on (the
+# vectorizer, falling back per item where it must); "interp" and
+# "vector" force one engine.  All three must agree exactly on buffers
+# and on every ExecutionCounters field.
 
 _ALL_BACKENDS = ("compiler", "interp", "vector")
 
@@ -273,46 +275,18 @@ def run_three(source, kernel_name, arrays, args, global_size, local_size=None):
 
 
 def assert_three_way(source, kernel_name, arrays, args, global_size, local_size=None):
-    """Three-way agreement with the two distinct contracts.
-
-    vector ↔ compiler: bit-exact buffers and equal ops/barriers/memory
-    (the vectorizer replays the compiler's charges and its relaxed
-    double-precision float evaluation exactly).
-
-    interp ↔ compiler: the looser pre-existing contract — the
-    interpreter evaluates float32 strictly per-op (so float buffers
-    compare with tolerance) and charges ops dynamically (so only
-    memory traffic and barriers must match, not ops).
-    """
+    """Bit-exact buffers and equal ops, warp_ops, barriers and memory
+    traffic on all three paths; returns the interpreter's buffers."""
     results = run_three(source, kernel_name, arrays, args, global_size, local_size)
-    ref_bufs, ref_cnt = results["compiler"]
-
-    v_bufs, v_cnt = results["vector"]
-    for name in arrays:
-        assert v_bufs[name].tobytes() == ref_bufs[name].tobytes(), (
-            f"vector buffer {name!r} differs from compiler:\n"
-            f"compiler: {ref_bufs[name]!r}\nvector: {v_bufs[name]!r}"
-        )
-    assert v_cnt.ops == ref_cnt.ops, f"vector ops {v_cnt.ops} != {ref_cnt.ops}"
-    assert v_cnt.barriers == ref_cnt.barriers
-    assert v_cnt.memory == ref_cnt.memory, (
-        f"vector memory {v_cnt.memory} != {ref_cnt.memory}"
-    )
-
-    i_bufs, i_cnt = results["interp"]
-    for name in arrays:
-        if np.issubdtype(ref_bufs[name].dtype, np.floating):
-            np.testing.assert_allclose(i_bufs[name], ref_bufs[name],
-                                       rtol=1e-5, atol=1e-6)
-        else:
-            assert i_bufs[name].tobytes() == ref_bufs[name].tobytes(), (
-                f"interp buffer {name!r} differs from compiler:\n"
-                f"compiler: {ref_bufs[name]!r}\ninterp: {i_bufs[name]!r}"
+    ref_bufs, ref_cnt = results["interp"]
+    for backend in ("compiler", "vector"):
+        bufs, cnt = results[backend]
+        for name in arrays:
+            assert bufs[name].tobytes() == ref_bufs[name].tobytes(), (
+                f"{backend} buffer {name!r} differs from interp:\n"
+                f"interp: {ref_bufs[name]!r}\n{backend}: {bufs[name]!r}"
             )
-    assert i_cnt.barriers == ref_cnt.barriers
-    assert i_cnt.memory == ref_cnt.memory, (
-        f"interp memory {i_cnt.memory} != {ref_cnt.memory}"
-    )
+        assert cnt == ref_cnt, f"{backend} counters {cnt} != interp {ref_cnt}"
     return ref_bufs
 
 

@@ -1,8 +1,9 @@
-"""Execution semantics tests, run against BOTH backends.
+"""Execution semantics tests, run against BOTH paths.
 
 Each test exercises one language feature end-to-end through a kernel and
 asserts the numeric result, parametrized over the interpreter and the
-compiling backend so the two stay in lockstep.
+production path ("compiler": the built program on the vectorizer, with
+its per-item fallback) so the two stay in lockstep.
 """
 
 import numpy as np

@@ -563,8 +563,8 @@ class TestFallback:
 
 class TestRegressions:
     def test_store_whose_index_shares_a_load_with_the_value(self):
-        # The compiled backend CSEs the two b[0] loads; the shared temp
-        # must be defined by the *first* executing side (the lvalue).
+        # The cost pass CSEs the two b[0] loads; the shared value must
+        # come from the *first* executing side (the lvalue).
         source = """__kernel void k(__global int* a, __global const int* b) {
             a[b[0]] = b[0] + 1;
         }"""

@@ -180,3 +180,35 @@ class TestRuntimeGuards:
         assert scalar.get_value() == 2.5
         assert float(scalar) == 2.5
         assert int(skelcl.Scalar(3, np.int32)) == 3
+
+
+class TestDeviceMemoryReclaimed:
+    """Dropped containers give their device memory back: a long-lived
+    session (or a ``repro.serve`` server) must not run out of it."""
+
+    @staticmethod
+    def _allocated(runtime):
+        import gc
+
+        gc.collect()
+        return [device.allocated_bytes for device in runtime.devices]
+
+    def test_repeated_sobel_detects(self, runtime_2gpu):
+        from repro.apps.images import synthetic_image
+        from repro.apps.sobel import SobelEdgeDetection
+
+        image = synthetic_image(128, 128)
+        sobel = SobelEdgeDetection()
+        before = self._allocated(runtime_2gpu)
+        for _ in range(8):
+            sobel.detect(image)
+        assert self._allocated(runtime_2gpu) == before
+
+    def test_dropped_containers(self, runtime_2gpu):
+        before = self._allocated(runtime_2gpu)
+        for i in range(8):
+            vec = Vector(data=np.arange(256, dtype=np.float32) + i)
+            vec.ensure_on_devices()
+            assert self._allocated(runtime_2gpu) != before
+            del vec
+        assert self._allocated(runtime_2gpu) == before
