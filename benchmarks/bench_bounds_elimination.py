@@ -2,8 +2,8 @@
 
 "In future work, we plan to avoid boundary checks at runtime by
 statically proving that all memory accesses are in bounds, as it is the
-case in the shown example."  We implemented that analysis
-(:mod:`repro.kernelc.boundcheck`); this bench measures what eliding the
+case in the shown example."  We implemented that proof over the kernel
+facts (:func:`repro.analysis.affine.prove_get_bounds`); this bench measures what eliding the
 runtime ``get()`` range checks is worth on the Sobel stencil, and that
 the analysis correctly refuses unprovable programs.
 """

@@ -11,14 +11,15 @@ Two fronts:
   conflict (at least one write, overlapping byte ranges) without an
   ordering path — with full provenance (device, command, enqueue site).
 
-* **Affine access footprints** (:mod:`repro.analysis.affine`,
-  "SkelAccess"): an abstract interpretation over the checked kernel AST
-  that summarizes every ``__global``/``__constant`` pointer access as
-  guarded affine forms over work-item ids and scalar parameters.
-  Evaluated at enqueue time against the concrete NDRange, the summaries
-  give the race detector exact (strided) byte ranges; statically they
-  power the ``symbolic-oob`` and coalescing lint rules and the
-  planner's fusion legality check.
+* **Kernel facts** (:mod:`repro.analysis.affine`, "SkelAccess"): the
+  one abstract interpretation over the checked kernel AST, cached per
+  function (:func:`kernel_facts`).  It summarizes every pointer access
+  as guarded affine forms over work-item ids and scalar parameters,
+  plus per-parameter r/w modes.  Evaluated at enqueue time against the
+  concrete NDRange, the summaries give the race detector exact
+  (strided) byte ranges; statically they power the out-of-bounds and
+  coalescing lint rules, the planner's fusion legality check and the
+  MapOverlap ``get()`` bounds proof.
 
 * **Kernel-source linting** lives in :mod:`repro.kernelc.lint` (it is a
   pure AST analysis); :func:`lint_program` is re-exported here for
@@ -35,6 +36,7 @@ from .affine import (
     Footprint,
     KernelSummary,
     UExpr,
+    kernel_facts,
     make_eval_env,
     resolve_footprint,
     summarize_kernel,
@@ -54,6 +56,7 @@ __all__ = [
     "Footprint",
     "KernelSummary",
     "UExpr",
+    "kernel_facts",
     "make_eval_env",
     "resolve_footprint",
     "summarize_kernel",

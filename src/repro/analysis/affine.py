@@ -1,7 +1,7 @@
-"""SkelAccess: affine access-footprint analysis over checked kernel ASTs.
+"""SkelAccess: the one kernel-facts pass over checked kernel ASTs.
 
-Summarizes every access a kernel makes through a ``__global`` /
-``__constant`` pointer parameter as a set of *affine footprints*::
+Summarizes every access a kernel makes through a pointer parameter as a
+set of *affine footprints*::
 
     index = base + stride_g * get_global_id(d) + stride_l * get_local_id(d)
                  + sum(c_i * uniform_i)       (elements, not bytes)
@@ -17,9 +17,10 @@ The analysis is a path-sensitive abstract interpretation:
 * scalar integer variables are tracked as small sets of guarded
   alternatives ``(form, guards)`` (capped at :data:`MAX_ALTS`), so
   boundary-handling chains like NEAREST clamping stay affine;
-* pointer values are tracked to their *root* — a kernel pointer
-  parameter or a fixed-size (``__local``/private) array — through
-  pointer arithmetic, ``&a[i]`` and user-function calls;
+* pointer values are tracked to their *root* — a pointer parameter or a
+  fixed-size (``__local``/private) array — through pointer arithmetic,
+  ``&a[i]`` and user-function calls; a pointer a loop or a branch join
+  moves keeps its root with an unknown offset;
 * ``for`` loops with an affine start and uniform step bind the
   induction variable to ``start + step * t`` for a fresh symbol ``t``
   and guard the body with the loop condition (covers the grid-stride
@@ -27,6 +28,11 @@ The analysis is a path-sensitive abstract interpretation:
 * anything non-affine (division, unknown builtins, aliasing the
   analysis cannot root) demotes the affected parameter to the historic
   whole-chunk *fallback* mode, so consumers never under-approximate.
+
+Besides the footprints, the same walk records every parameter's read and
+write flags (on *every* access, affine or not; an alias, an integer
+cast or a hand-off to an unknown callee sets both), the calls of
+MapOverlap's ``get`` accessor, and the accesses into fixed-size arrays.
 
 At enqueue time :func:`make_eval_env` / :func:`resolve_footprint`
 substitute the concrete NDRange and scalar arguments, narrow the
@@ -38,10 +44,14 @@ Unsigned wrap-around is deliberately ignored: an index that wraps past
 2^64 faults in the interpreter long before the footprint matters, and
 modelling it would cost every summary its precision.
 
-Consumers: :mod:`repro.analysis.access` (SkelSan byte-range races),
-:mod:`repro.kernelc.lint` (``symbolic-oob``, ``uncoalesced-access``,
-``strided-global-read``), :mod:`repro.plan.compose` (fusion legality)
-and :mod:`repro.skelcl.mapoverlap` (footprint-shrunk halo transfers).
+Every consumer reads the summary through :func:`kernel_facts`, which
+computes it once per checked function:
+:mod:`repro.analysis.access` (SkelSan r/w modes and byte-range races),
+:mod:`repro.kernelc.lint` (``constant-index-oob``, ``symbolic-oob``,
+``uncoalesced-access``, ``strided-global-read``),
+:mod:`repro.plan.compose` (fusion legality) and
+:mod:`repro.skelcl.mapoverlap` (the static ``get()`` bounds proof,
+:func:`prove_get_bounds`, and footprint-shrunk halo transfers).
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..kernelc import ast
-from ..kernelc.ctypes_ import ArrayType, CType, PointerType, VectorType
+from ..kernelc.ctypes_ import ArrayType, CType, PointerType
 
 # Symbols are tuples.  Uniform (same value for every work-item):
 #   ("param", name) ("gsize", d) ("lsize", d) ("ngroups", d)
@@ -320,6 +330,15 @@ class ArraySite:
     span: object = None
 
 
+@dataclass(frozen=True)
+class GetSite:
+    """One call of MapOverlap's neighbourhood accessor ``get(m, dx[, dy])``:
+    the guarded alternatives of each offset argument."""
+
+    offsets: Tuple[Alts, ...]
+    guards: Guards
+
+
 @dataclass
 class ParamSummary:
     name: str
@@ -327,60 +346,58 @@ class ParamSummary:
     elem_size: int
     footprints: List[Footprint] = field(default_factory=list)
     fallback_reason: Optional[str] = None  # None = fully affine
+    #: 'r', 'w' or 'rw': may the function read/write through the
+    #: pointer at all (affine or not); const and declared intents applied.
+    mode: str = "r"
+    #: Why the pointer leaves the pass's view (aliased by a local
+    #: pointer, cast to an integer, handed to an unknown callee), or None.
+    escape: Optional[str] = None
 
     @property
     def affine(self) -> bool:
         return self.fallback_reason is None
 
-    @property
-    def mode(self) -> str:
-        reads = any(f.mode == "r" for f in self.footprints)
-        writes = any(f.mode == "w" for f in self.footprints)
-        if reads and writes:
-            return "rw"
-        if writes:
-            return "w"
-        return "r"
-
 
 @dataclass
 class KernelSummary:
     kernel: str
-    params: Dict[str, ParamSummary]
+    #: Every pointer parameter, whatever its address space.
+    pointers: Dict[str, ParamSummary]
     array_sites: List[ArraySite]
     #: reqd_work_group_size attribute values, or None.
     reqd_wg: Optional[Tuple[int, int, int]] = None
+    get_sites: List[GetSite] = field(default_factory=list)
 
-    @property
-    def affine_sites(self) -> int:
-        return sum(len(p.footprints) for p in self.params.values() if p.affine)
-
-    @property
-    def fallback_params(self) -> List[str]:
-        return [n for n, p in self.params.items() if not p.affine]
+    def __post_init__(self):
+        #: The ``__global``/``__constant`` pointers: the buffers a launch binds.
+        self.params: Dict[str, ParamSummary] = {
+            name: p for name, p in self.pointers.items()
+            if p.space in ("global", "constant")
+        }
 
 
 class _Ptr:
     """A pointer value rooted at a parameter or fixed array."""
 
-    __slots__ = ("kind", "name", "length", "elem_size", "space", "offset")
+    __slots__ = ("kind", "name", "length", "offset")
 
-    def __init__(self, kind: str, name: str, offset: AffineForm,
-                 length: int = 0, elem_size: int = 1, space: str = "private"):
+    def __init__(self, kind: str, name: str, offset: Optional[AffineForm],
+                 length: int = 0):
         self.kind = kind  # "param" or "array"
         self.name = name
-        self.offset = offset
+        self.offset = offset  # None: root known, offset unknown
         self.length = length  # elements ("array" roots only)
-        self.elem_size = elem_size
-        self.space = space
 
-    def shifted(self, delta: AffineForm) -> "_Ptr":
-        return _Ptr(self.kind, self.name, self.offset + delta,
-                    self.length, self.elem_size, self.space)
+    def shifted(self, delta: Optional[AffineForm]) -> "_Ptr":
+        offset = None
+        if self.offset is not None and delta is not None:
+            offset = self.offset + delta
+        return _Ptr(self.kind, self.name, offset, self.length)
 
 
-class _GiveUp(Exception):
-    """Internal: abandon the current evaluation (value becomes unknown)."""
+def _unknown_offset(ptr: Optional[_Ptr]) -> Optional[_Ptr]:
+    """``ptr`` with its root kept and its offset forgotten."""
+    return None if ptr is None else ptr.shifted(None)
 
 
 def _source_text(program: ast.Program, span) -> str:
@@ -419,16 +436,25 @@ class _Scanner:
         self.program = program
         self.fn = fn
         self.functions = {f.name: f for f in program.functions}
+        source = getattr(program, "source", None)
+        #: Declared access intents (jit ``/*@intent:func.param=rw*/``).
+        self.declared: Dict[Tuple[str, str], str] = (
+            getattr(source, "declared_intents", None) or {})
         self.footprints: List[Footprint] = []
         self.array_sites: List[ArraySite] = []
+        self.get_sites: List[GetSite] = []
         self.fallbacks: Dict[str, str] = {}  # param -> reason
+        self.escapes: Dict[str, str] = {}  # param -> reason
         self.guards: List[Guard] = []
         self._iv_counter = 0
-        self._call_stack: List[str] = []
+        self._depth = 0
+        self._returns_stack: List[Tuple[List[Alt], int]] = []
         self.pointer_params: Dict[str, PointerType] = {
             p.name: p.declared_type for p in fn.params
             if isinstance(p.declared_type, PointerType)
         }
+        self.flags: Dict[str, Set[str]] = {
+            name: set() for name in self.pointer_params}
 
     # -- entry ---------------------------------------------------------------
 
@@ -438,13 +464,7 @@ class _Scanner:
         for param in self.fn.params:
             ctype = param.declared_type
             if isinstance(ctype, PointerType):
-                try:
-                    elem = ctype.pointee.sizeof()
-                except TypeError:
-                    elem = 1
-                ptrs[param.name] = _Ptr("param", param.name,
-                                        AffineForm.const(0), 0, elem,
-                                        ctype.address_space)
+                ptrs[param.name] = _Ptr("param", param.name, AffineForm.const(0))
             elif isinstance(ctype, ArrayType):
                 ptrs[param.name] = None
             elif ctype.is_integer():
@@ -454,14 +474,8 @@ class _Scanner:
         for decl in getattr(self.program, "globals", []):
             inner = decl.decl
             if isinstance(inner.declared_type, ArrayType):
-                try:
-                    elem = inner.declared_type.base_element().sizeof()
-                except TypeError:
-                    elem = 1
-                ptrs[inner.name] = _Ptr(
-                    "array", inner.name, AffineForm.const(0),
-                    inner.declared_type.flat_length(), elem,
-                    inner.address_space)
+                ptrs[inner.name] = _Ptr("array", inner.name, AffineForm.const(0),
+                                        inner.declared_type.flat_length())
         if self.fn.body is not None:
             self.exec_stmt(self.fn.body, env, ptrs)
 
@@ -469,11 +483,32 @@ class _Scanner:
         if name in self.pointer_params and name not in self.fallbacks:
             self.fallbacks[name] = reason
 
-    def _fallback_expr(self, expr: ast.Expr, reason: str) -> None:
-        """Demote every pointer parameter mentioned in ``expr``."""
+    def _flag(self, root: Optional[str], flags) -> None:
+        if root in self.flags:
+            self.flags[root].update(flags)
+
+    def _alias(self, ptr, reason: str) -> None:
+        """A local pointer now holds ``ptr``: its accesses stay tracked,
+        but the parameter counts as read and written (the historic
+        alias rule) and no longer backs a ``get()`` proof."""
+        root = _param_root(ptr)
+        if root is not None:
+            self._flag(root, "rw")
+            self.escapes.setdefault(root, reason)
+
+    def _escape(self, expr: ast.Expr, ptrs, reason: str) -> None:
+        """Every parameter root ``expr`` mentions leaves the pass's view:
+        whole-buffer fallback, read and write (read only through a
+        const-qualified pointer)."""
+        ctype = getattr(expr, "ctype", None)
+        flags = "r" if isinstance(ctype, PointerType) and ctype.is_const else "rw"
         for node in ast.walk(expr):
             if isinstance(node, ast.Identifier):
-                self._fallback(node.name, reason)
+                root = _param_root(ptrs.get(node.name))
+                if root is not None:
+                    self._flag(root, flags)
+                    self._fallback(root, reason)
+                    self.escapes.setdefault(root, reason)
 
     def _fresh_iv(self) -> Sym:
         self._iv_counter += 1
@@ -487,13 +522,13 @@ class _Scanner:
             return
         text = _source_text(self.program, node.span)
         guards = tuple(self.guards)
+        if ptr.kind == "param":
+            self._flag(ptr.name, mode)
         for form, alt_guards in index:
             total = None
             if form is not None and ptr.offset is not None:
                 total = ptr.offset + form
             if ptr.kind == "param":
-                if ptr.space not in ("global", "constant"):
-                    continue
                 if total is None:
                     self._fallback(ptr.name, f"non-affine index in {text!r}")
                     continue
@@ -510,12 +545,6 @@ class _Scanner:
     def eval_int(self, expr: ast.Expr, env, ptrs) -> Alts:
         """Evaluate an integer-valued expression to guarded alternatives,
         collecting any accesses it performs."""
-        try:
-            return self._eval(expr, env, ptrs)
-        except _GiveUp:
-            return _UNKNOWN
-
-    def _eval(self, expr: ast.Expr, env, ptrs) -> Alts:
         if isinstance(expr, ast.IntLiteral):
             return ((AffineForm.const(expr.value), ()),)
         if isinstance(expr, ast.CharLiteral):
@@ -527,6 +556,12 @@ class _Scanner:
         if isinstance(expr, ast.Cast):
             target = expr.target_type
             inner = self._eval_any(expr.operand, env, ptrs)
+            if isinstance(getattr(expr.operand, "ctype", None),
+                          (PointerType, ArrayType)):
+                # The address as a number can come back as a pointer the
+                # pass cannot root.
+                self._escape(expr.operand, ptrs, "pointer cast to an integer")
+                return _UNKNOWN
             if isinstance(target, CType) and target.is_integer():
                 return inner
             return _UNKNOWN
@@ -573,7 +608,7 @@ class _Scanner:
     def _eval_any(self, expr: ast.Expr, env, ptrs) -> Alts:
         """Evaluate for side effects/accesses; pointer-typed expressions
         return unknown-int but are still scanned."""
-        ptr = self._eval_pointer(expr, env, ptrs, record=True)
+        ptr = self._eval_pointer(expr, env, ptrs)
         if ptr is not _NOT_POINTER:
             return _UNKNOWN
         return self.eval_int(expr, env, ptrs)
@@ -655,14 +690,20 @@ class _Scanner:
         if isinstance(target, ast.Identifier):
             name = target.name
             if name in ptrs:
+                if expr.op in ("+=", "-="):
+                    delta = _single_form(value)
+                    if delta is not None and expr.op == "-=":
+                        delta = -delta
+                    old = ptrs[name]
+                    ptrs[name] = None if old is None else old.shifted(delta)
+                    return _UNKNOWN
                 new_ptr = self._eval_pointer(expr.value, env, ptrs)
                 if new_ptr is _NOT_POINTER or new_ptr is None:
-                    self._poison_pointer_expr(expr.value)
+                    self._escape(expr.value, ptrs, _UNROOTED)
                     ptrs[name] = None
-                elif expr.op == "=":
-                    ptrs[name] = new_ptr
                 else:
-                    ptrs[name] = None
+                    self._alias(new_ptr, f"re-seated pointer {name!r}")
+                    ptrs[name] = new_ptr
                 return _UNKNOWN
             if expr.op == "=":
                 env[name] = value
@@ -699,19 +740,20 @@ class _Scanner:
 
     def _apply_incdec(self, expr, env, ptrs) -> None:
         operand = expr.operand
+        delta = AffineForm.const(1 if expr.op == "++" else -1)
         if isinstance(operand, ast.Identifier) and operand.name not in ptrs:
-            delta = AffineForm.const(1 if expr.op == "++" else -1)
             old = env.get(operand.name, _UNKNOWN)
             env[operand.name] = tuple(
                 (None if f is None else f + delta, g) for f, g in old)
         elif isinstance(operand, ast.Identifier):
-            ptrs[operand.name] = None
+            old = ptrs[operand.name]
+            ptrs[operand.name] = None if old is None else old.shifted(delta)
         else:
             self._eval_any(operand, env, ptrs)
 
     # -- pointers ------------------------------------------------------------
 
-    def _eval_pointer(self, expr: ast.Expr, env, ptrs, record: bool = False):
+    def _eval_pointer(self, expr: ast.Expr, env, ptrs):
         """Pointer value of ``expr``: a _Ptr, None (unknown pointer) or
         _NOT_POINTER when the expression is not pointer-typed."""
         ctype = getattr(expr, "ctype", None)
@@ -723,12 +765,12 @@ class _Scanner:
         if not is_ptr and not (isinstance(expr, ast.UnaryOp) and expr.op == "&"):
             return _NOT_POINTER
         if isinstance(expr, ast.Cast):
-            return self._eval_pointer(expr.operand, env, ptrs, record)
+            return self._eval_pointer(expr.operand, env, ptrs)
         if isinstance(expr, ast.UnaryOp) and expr.op == "&":
             operand = expr.operand
             if isinstance(operand, ast.Index):
                 base_ptr, index = self._eval_access(operand, env, ptrs)
-                form = _pick_form(index)
+                form = _single_form(index)
                 if base_ptr is not None and form is not None:
                     return base_ptr.shifted(form)
                 return None
@@ -737,14 +779,14 @@ class _Scanner:
             left_ptr = self._eval_pointer(expr.left, env, ptrs)
             right_ptr = self._eval_pointer(expr.right, env, ptrs)
             if left_ptr is not _NOT_POINTER and right_ptr is _NOT_POINTER:
-                delta = _pick_form(self.eval_int(expr.right, env, ptrs))
+                delta = _single_form(self.eval_int(expr.right, env, ptrs))
                 if left_ptr is None or delta is None:
                     return None
                 if expr.op == "-":
                     delta = -delta
                 return left_ptr.shifted(delta)
             if right_ptr is not _NOT_POINTER and expr.op == "+":
-                delta = _pick_form(self.eval_int(expr.left, env, ptrs))
+                delta = _single_form(self.eval_int(expr.left, env, ptrs))
                 if right_ptr is None or delta is None:
                     return None
                 return right_ptr.shifted(delta)
@@ -752,7 +794,7 @@ class _Scanner:
         if isinstance(expr, ast.Index):
             # a[i] where a is an array of arrays: pointer to the row.
             base_ptr, index = self._eval_access(expr, env, ptrs)
-            form = _pick_form(index)
+            form = _single_form(index)
             if base_ptr is not None and form is not None:
                 return base_ptr.shifted(form)
             return None
@@ -760,13 +802,10 @@ class _Scanner:
             return None
         return None if is_ptr else _NOT_POINTER
 
-    def _poison_pointer_expr(self, expr: ast.Expr) -> None:
-        self._fallback_expr(expr, "pointer aliasing the analysis cannot root")
-
     def _deref_site(self, expr: ast.UnaryOp, env, ptrs):
         ptr = self._eval_pointer(expr.operand, env, ptrs)
         if ptr is _NOT_POINTER or ptr is None:
-            self._poison_pointer_expr(expr.operand)
+            self._escape(expr.operand, ptrs, _UNROOTED)
             return None, None
         return ptr, None
 
@@ -776,7 +815,7 @@ class _Scanner:
         base_ptr = self._eval_pointer(expr.base, env, ptrs)
         index = self.eval_int(expr.index, env, ptrs)
         if base_ptr is _NOT_POINTER or base_ptr is None:
-            self._poison_pointer_expr(expr.base)
+            self._escape(expr.base, ptrs, _UNROOTED)
             return None, index
         base_type = getattr(expr.base, "ctype", None)
         element = None
@@ -784,6 +823,13 @@ class _Scanner:
             element = base_type.pointee
         elif isinstance(base_type, ArrayType):
             element = base_type.element
+            form = _single_form(index)
+            if isinstance(expr.base, ast.Index) and form is not None and form.is_const:
+                # A constant column of a multi-dimensional array is also
+                # checked against its own row (``m[0][5]`` on ``m[2][3]``).
+                self.array_sites.append(ArraySite(
+                    base_ptr.name, base_type.length, "r", form, tuple(self.guards),
+                    _source_text(self.program, expr.span), expr.span))
         if isinstance(element, ArrayType):
             factor = UExpr.const(element.flat_length())
             index = tuple(
@@ -856,7 +902,23 @@ class _Scanner:
         callee = self.functions.get(name)
         if callee is not None and callee.body is not None:
             return self._eval_user_call(expr, callee, env, ptrs)
+        if name == ACCESSOR and getattr(expr, "kind", None) == "user":
+            return self._eval_get(expr, env, ptrs)
         return self._eval_builtin_call(expr, env, ptrs)
+
+    def _eval_get(self, expr: ast.Call, env, ptrs) -> Alts:
+        """A call of the MapOverlap accessor prototype: record the offsets.
+        Its pointer argument must be the neighbourhood pointer itself."""
+        target = expr.args[0]
+        ptr = self._eval_pointer(target, env, ptrs)
+        if isinstance(ptr, _Ptr) and ptr.offset is not None and \
+                ptr.offset.is_const and ptr.offset.const_value == 0:
+            self._flag(_param_root(ptr), "r")
+        else:
+            self._escape(target, ptrs, "get() of a shifted or unknown pointer")
+        offsets = tuple(self._eval_any(arg, env, ptrs) for arg in expr.args[1:])
+        self.get_sites.append(GetSite(offsets, tuple(self.guards)))
+        return _UNKNOWN
 
     def _eval_builtin_call(self, expr: ast.Call, env, ptrs) -> Alts:
         name = expr.callee
@@ -868,7 +930,7 @@ class _Scanner:
         for arg in expr.args:
             actype = getattr(arg, "ctype", None)
             if isinstance(actype, (PointerType, ArrayType)):
-                self._poison_pointer_expr(arg)
+                self._escape(arg, ptrs, f"pointer handed to {name}()")
         if not is_int:
             return _UNKNOWN
         if name in ("min", "max") and len(args) == 2:
@@ -892,12 +954,11 @@ class _Scanner:
 
     def _eval_user_call(self, expr: ast.Call, callee: ast.FunctionDef,
                         env, ptrs) -> Alts:
-        if callee.name in self._call_stack or \
-                len(self._call_stack) >= _MAX_CALL_DEPTH:
+        if self._depth >= _MAX_CALL_DEPTH:
             for arg in expr.args:
                 actype = getattr(arg, "ctype", None)
                 if isinstance(actype, (PointerType, ArrayType)):
-                    self._poison_pointer_expr(arg)
+                    self._escape(arg, ptrs, "call nesting too deep")
                 else:
                     self._eval_any(arg, env, ptrs)
             return _UNKNOWN
@@ -908,17 +969,19 @@ class _Scanner:
             if isinstance(ctype, (PointerType, ArrayType)):
                 ptr = self._eval_pointer(arg, env, ptrs)
                 if ptr is _NOT_POINTER or ptr is None:
-                    self._poison_pointer_expr(arg)
+                    self._escape(arg, ptrs, _UNROOTED)
                     callee_ptrs[param.name] = None
                 else:
                     callee_ptrs[param.name] = ptr
+                    intent = self.declared.get((callee.name, param.name))
+                    if intent is not None:
+                        self._flag(_param_root(ptr), intent)
             elif ctype.is_integer():
                 callee_env[param.name] = self._eval_any(arg, env, ptrs)
             else:
                 self._eval_any(arg, env, ptrs)
                 callee_env[param.name] = _UNKNOWN
-        self._call_stack.append(callee.name)
-        self._returns_stack = getattr(self, "_returns_stack", [])
+        self._depth += 1
         self._returns_stack.append(([], len(self.guards)))
         try:
             self.exec_stmt(callee.body, callee_env, callee_ptrs)
@@ -929,7 +992,7 @@ class _Scanner:
             # those guards must not outlive the call, or the caller's
             # subsequent accesses would be narrowed by them.
             del self.guards[depth:]
-            self._call_stack.pop()
+            self._depth -= 1
         is_int = (getattr(expr, "ctype", None) is not None
                   and expr.ctype.is_integer())
         if is_int and 0 < len(collected) <= MAX_ALTS:
@@ -953,6 +1016,7 @@ class _Scanner:
         elif isinstance(stmt, ast.ForStmt):
             self._exec_for(stmt, env, ptrs)
         elif isinstance(stmt, ast.WhileStmt):
+            before = dict(ptrs)
             self._havoc(stmt.body, env, ptrs)
             then_g, _else_g = self.cond_guards(stmt.condition, env, ptrs)
             depth = len(self.guards)
@@ -960,43 +1024,46 @@ class _Scanner:
                 self.guards.extend(then_g)
             self.exec_stmt(stmt.body, env, ptrs)
             del self.guards[depth:]
-            self._havoc(stmt.body, env, ptrs)
+            self._havoc(stmt.body, env, ptrs, before)
         elif isinstance(stmt, ast.DoStmt):
+            before = dict(ptrs)
             self._havoc(stmt.body, env, ptrs)
+            depth = len(self.guards)
             self.exec_stmt(stmt.body, env, ptrs)
+            del self.guards[depth:]
             self.cond_guards(stmt.condition, env, ptrs)
-            self._havoc(stmt.body, env, ptrs)
+            self._havoc(stmt.body, env, ptrs, before)
         elif isinstance(stmt, ast.ReturnStmt):
             if stmt.value is not None:
                 value = self._eval_any(stmt.value, env, ptrs)
-                stack = getattr(self, "_returns_stack", None)
-                if stack:
-                    collected, depth = stack[-1]
+                if self._returns_stack:
+                    collected, depth = self._returns_stack[-1]
                     extra = tuple(self.guards[depth:])
                     for f, g in value:
                         collected.append((f, extra + g))
         elif isinstance(stmt, ast.SwitchStmt):
             self._eval_any(stmt.subject, env, ptrs)
-            branch_envs = []
+            before = dict(ptrs)
             for case in stmt.cases:
-                case_env = dict(env)
-                case_ptrs = dict(ptrs)
+                depth = len(self.guards)
                 for child in case.body:
-                    self.exec_stmt(child, case_env, case_ptrs)
-                branch_envs.append((case_env, case_ptrs, ()))
-            self._join_branches(env, ptrs, branch_envs)
+                    self.exec_stmt(child, env, ptrs)
+                # A later case can be entered directly, and the code after
+                # the switch reached by a break: the guards an early return
+                # in this case added do not hold there.
+                del self.guards[depth:]
+                # Fallthrough, early breaks and unmatched subjects: a later
+                # case, and the code after the switch, may see any state
+                # of this one — forget what it assigns.
+                self._havoc(ast.CompoundStmt(case.body, stmt.span), env, ptrs,
+                            before)
         # Break/Continue: no effect on the abstract state.
 
     def _exec_decl(self, decl: ast.VarDecl, env, ptrs) -> None:
         ctype = decl.declared_type
         if isinstance(ctype, ArrayType):
-            try:
-                elem = ctype.base_element().sizeof()
-            except TypeError:
-                elem = 1
             ptrs[decl.name] = _Ptr("array", decl.name, AffineForm.const(0),
-                                   ctype.flat_length(), elem,
-                                   decl.address_space)
+                                   ctype.flat_length())
             if decl.init is not None:
                 self._eval_any(decl.init, env, ptrs)
             return
@@ -1004,9 +1071,10 @@ class _Scanner:
             if decl.init is not None:
                 ptr = self._eval_pointer(decl.init, env, ptrs)
                 if ptr is _NOT_POINTER or ptr is None:
-                    self._poison_pointer_expr(decl.init)
+                    self._escape(decl.init, ptrs, _UNROOTED)
                     ptrs[decl.name] = None
                 else:
+                    self._alias(ptr, f"aliased by local pointer {decl.name!r}")
                     ptrs[decl.name] = ptr
             else:
                 ptrs[decl.name] = None
@@ -1035,7 +1103,7 @@ class _Scanner:
             del self.guards[depth:]
 
         # `if (cond) return;` guards the rest of the function.
-        if _always_returns(stmt.then_branch) and stmt.else_branch is None:
+        if ast.always_returns(stmt.then_branch) and stmt.else_branch is None:
             env.clear()
             env.update(else_env)
             ptrs.clear()
@@ -1043,7 +1111,7 @@ class _Scanner:
             if else_g:
                 self.guards.extend(else_g)
             return
-        if stmt.else_branch is not None and _always_returns(stmt.else_branch):
+        if stmt.else_branch is not None and ast.always_returns(stmt.else_branch):
             env.clear()
             env.update(then_env)
             ptrs.clear()
@@ -1051,10 +1119,8 @@ class _Scanner:
             if then_g:
                 self.guards.extend(then_g)
             return
-        self._join_branches(env, ptrs, [
-            (then_env, then_ptrs, then_g if then_g is not None else None),
-            (else_env, else_ptrs, else_g if else_g is not None else None),
-        ])
+        self._join_branches(env, ptrs, [(then_env, then_ptrs, then_g),
+                                        (else_env, else_ptrs, else_g)])
 
     def _join_branches(self, env, ptrs, branches) -> None:
         names = set(env)
@@ -1071,12 +1137,9 @@ class _Scanner:
                 joined[name] = env[name]
                 continue
             alts: List[Alt] = []
-            ok = True
             for branch_env, _bp, branch_guards in branches:
                 value = branch_env.get(name, _UNKNOWN)
-                extra: Guards = branch_guards if branch_guards else ()
-                if branch_guards is None:
-                    extra = ()
+                extra: Guards = branch_guards or ()
                 for f, g in value:
                     alts.append((f, extra + g))
             # Collapse identical alternatives, then cap.
@@ -1092,76 +1155,73 @@ class _Scanner:
                 joined[name] = merged
         env.clear()
         env.update(joined)
-        ptr_names = set(ptrs)
-        for _be, branch_ptrs, _g in branches:
-            ptr_names |= set(branch_ptrs)
-        joined_ptrs: Dict[str, Optional[_Ptr]] = {}
-        for name in ptr_names:
-            values = [bp.get(name) for _be, bp, _g in branches]
-            first = values[0]
-            same = first is not None and all(
-                v is not None and v.kind == first.kind and v.name == first.name
-                and v.offset is not None and first.offset is not None
-                and v.offset == first.offset for v in values)
-            joined_ptrs[name] = first if same else (
-                ptrs.get(name) if all(v is ptrs.get(name) for v in values)
-                else None)
-        ptrs.clear()
-        ptrs.update(joined_ptrs)
+        # Pointers declared inside a branch die with it; the others may
+        # hold whatever any branch left in them.
+        for name in list(ptrs):
+            ptrs[name] = self._join_ptr([bp.get(name) for _be, bp, _g in branches])
 
-    def _havoc(self, stmt: ast.Stmt, env, ptrs) -> None:
+    def _join_ptr(self, values: List[Optional[_Ptr]]) -> Optional[_Ptr]:
+        """One pointer value for several paths: the shared root (with an
+        unknown offset where the offsets differ), or None — and every
+        parameter root involved escapes — when the roots differ."""
+        first = values[0]
+        if all(v is first for v in values):
+            return first
+        if first is not None and all(
+                v is not None and (v.kind, v.name) == (first.kind, first.name)
+                for v in values):
+            if first.offset is not None and all(
+                    v.offset is not None and v.offset == first.offset
+                    for v in values):
+                return first
+            return _unknown_offset(first)
+        for value in values:
+            root = _param_root(value)
+            if root is not None:
+                self._flag(root, "rw")
+                self._fallback(root, "pointer joins several roots")
+                self.escapes.setdefault(root, "pointer joins several roots")
+        return None
+
+    def _havoc(self, stmt: ast.Node, env, ptrs, before=None) -> None:
+        """Forget what a loop assigns: integers become unknown; a pointer
+        keeps its root with an unknown offset.  ``before`` (the pointers
+        at loop entry) is given at loop exit, where a pointer may hold
+        its entry value or whatever the body left in it."""
         for name in _assigned_names(stmt):
             if name in ptrs:
-                ptrs[name] = None
+                value = ptrs[name]
+                if before is not None and name in before:
+                    value = self._join_ptr([before[name], value])
+                ptrs[name] = _unknown_offset(value)
             else:
                 env[name] = _UNKNOWN
 
     def _exec_for(self, stmt: ast.ForStmt, env, ptrs) -> None:
         induction = self._match_affine_loop(stmt, env, ptrs)
-        depth = len(self.guards)
+        if induction is None and stmt.init is not None:
+            self.exec_stmt(stmt.init, env, ptrs)
+        body_env, body_ptrs = dict(env), dict(ptrs)
+        # Widen everything the loop assigns; a matched induction
+        # variable is init + t * step instead.
+        self._havoc(stmt, body_env, body_ptrs)
         if induction is not None:
             name, init, step = induction
-            iv = self._fresh_iv()
-            body_env = dict(env)
-            body_ptrs = dict(ptrs)
-            # Widen everything else the body (or increment) assigns.
-            self._havoc(stmt.body, body_env, body_ptrs)
-            symbolic = init + AffineForm.sym(iv).scale(step)
+            symbolic = init + AffineForm.sym(self._fresh_iv()).scale(step)
             body_env[name] = ((symbolic, ()),)
-            if stmt.condition is not None:
-                then_g, _ = self.cond_guards(stmt.condition, body_env, body_ptrs)
-                if then_g:
-                    self.guards.extend(then_g)
-            self.exec_stmt(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._eval_any(stmt.increment, body_env, body_ptrs)
-            del self.guards[depth:]
-        else:
-            if stmt.init is not None:
-                self.exec_stmt(stmt.init, env, ptrs)
-            body_env = dict(env)
-            body_ptrs = dict(ptrs)
-            self._havoc(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._havoc(ast.ExprStmt(stmt.increment, stmt.span),
-                            body_env, body_ptrs)
-            if stmt.condition is not None:
-                then_g, _ = self.cond_guards(stmt.condition, body_env, body_ptrs)
-                if then_g:
-                    self.guards.extend(then_g)
-            self.exec_stmt(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._eval_any(stmt.increment, body_env, body_ptrs)
-            del self.guards[depth:]
-        # After the loop everything it may assign is unknown.
-        self._havoc(stmt.body, env, ptrs)
+        depth = len(self.guards)
+        if stmt.condition is not None:
+            then_g, _ = self.cond_guards(stmt.condition, body_env, body_ptrs)
+            self.guards.extend(then_g or ())
+        self.exec_stmt(stmt.body, body_env, body_ptrs)
         if stmt.increment is not None:
-            self._havoc(ast.ExprStmt(stmt.increment, stmt.span), env, ptrs)
+            self._eval_any(stmt.increment, body_env, body_ptrs)
+        del self.guards[depth:]
+        # After the loop everything it may assign is unknown.
+        self._havoc(stmt, env, ptrs, body_ptrs)
         if isinstance(stmt.init, ast.DeclStmt):
             for decl in stmt.init.decls:
                 env.pop(decl.name, None)
-        elif stmt.init is not None:
-            self._havoc(stmt.init, env, ptrs)
 
     def _match_affine_loop(self, stmt: ast.ForStmt, env, ptrs):
         """Match ``for (i = init; cond; i += step)`` with an affine init
@@ -1204,11 +1264,25 @@ class _Scanner:
 
 _NOT_POINTER = object()
 
+_UNROOTED = "pointer aliasing the analysis cannot root"
 
-def _pick_form(alts: Optional[Alts]) -> Optional[AffineForm]:
-    if alts is None:
-        return None
-    return _single_form(alts)
+#: MapOverlap's neighbourhood accessor, declared as a prototype when the
+#: customizing function is checked (see :func:`prove_get_bounds`).
+ACCESSOR = "get"
+
+
+def _param_root(ptr) -> Optional[str]:
+    """The parameter a pointer value is rooted at, if any."""
+    if isinstance(ptr, _Ptr) and ptr.kind == "param":
+        return ptr.name
+    return None
+
+
+def _elem_size(ctype: CType) -> int:
+    try:
+        return ctype.sizeof()
+    except TypeError:
+        return 1
 
 
 def _assigned_names(stmt: ast.Stmt) -> Set[str]:
@@ -1226,65 +1300,163 @@ def _assigned_names(stmt: ast.Stmt) -> Set[str]:
     return names
 
 
-def _always_returns(stmt: Optional[ast.Stmt]) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.ReturnStmt):
-        return True
-    if isinstance(stmt, ast.CompoundStmt):
-        return any(_always_returns(child) for child in stmt.statements)
-    if isinstance(stmt, ast.IfStmt):
-        return (stmt.else_branch is not None
-                and _always_returns(stmt.then_branch)
-                and _always_returns(stmt.else_branch))
-    if isinstance(stmt, ast.DoStmt):
-        return _always_returns(stmt.body)
-    return False
-
-
 # -- public entry ------------------------------------------------------------
+
+
+def _mode(flags) -> str:
+    if "r" in flags and "w" in flags:
+        return "rw"
+    return "w" if "w" in flags else "r"
 
 
 def summarize_kernel(program: ast.Program,
                      fn: ast.FunctionDef) -> KernelSummary:
-    """Affine access summary of one kernel of a *checked* program.
+    """Access summary of one function (kernel or helper) of a *checked*
+    program; uncached — consumers call :func:`kernel_facts`.
 
-    Never raises on kernel content: anything the scanner cannot model
-    becomes a per-parameter fallback with a reason.
+    Anything the scanner cannot model becomes a per-parameter fallback
+    with a reason.  A parameter's mode is read only through a
+    ``const``-qualified pointer; a declared intent replaces it verbatim.
     """
     scanner = _Scanner(program, fn)
-    try:
-        scanner.run()
-    except RecursionError:
-        for name in scanner.pointer_params:
-            scanner._fallback(name, "analysis recursion limit")
-    params: Dict[str, ParamSummary] = {}
+    scanner.run()
+    pointers: Dict[str, ParamSummary] = {}
     for name, ctype in scanner.pointer_params.items():
-        if ctype.address_space not in ("global", "constant"):
-            continue
-        try:
-            elem = ctype.pointee.sizeof()
-        except TypeError:
-            elem = 1
-        summary = ParamSummary(name, ctype.address_space, elem)
-        summary.footprints = [f for f in scanner.footprints if f.param == name]
-        if name in scanner.fallbacks:
-            summary.fallback_reason = scanner.fallbacks[name]
-        params[name] = summary
-    return KernelSummary(fn.name, params, scanner.array_sites,
-                         _parse_reqd_wg(fn))
+        mode = "r" if ctype.is_const else _mode(scanner.flags[name])
+        pointers[name] = ParamSummary(
+            name, ctype.address_space, _elem_size(ctype.pointee),
+            [f for f in scanner.footprints if f.param == name],
+            scanner.fallbacks.get(name),
+            scanner.declared.get((fn.name, name), mode),
+            scanner.escapes.get(name))
+    return KernelSummary(fn.name, pointers, scanner.array_sites,
+                         _parse_reqd_wg(fn), scanner.get_sites)
 
 
 _SUMMARY_ATTR = "_skelaccess_summary"
 
 
-def cached_kernel_summary(program: ast.Program,
-                          fn: ast.FunctionDef) -> KernelSummary:
+def kernel_facts(program: ast.Program, fn: ast.FunctionDef) -> KernelSummary:
+    """The kernel facts of ``fn``, computed once and kept on the checked
+    ``FunctionDef`` (so the persistent program cache carries them too).
+
+    An analyzer crash never passes silently as "not affine": it becomes
+    a fallback on every pointer parameter, mode ``rw``, with the reason
+    ``analyzer error: <ExceptionType>`` — and under
+    ``SKELCL_SANITIZE=strict`` it is re-raised.
+    """
     cached = getattr(fn, _SUMMARY_ATTR, None)
-    if cached is None:
+    if cached is not None:
+        return cached
+    try:
         cached = summarize_kernel(program, fn)
-        setattr(fn, _SUMMARY_ATTR, cached)
+    except Exception as exc:
+        from .races import SanitizeMode, resolve_sanitize_mode
+
+        if resolve_sanitize_mode(None) is SanitizeMode.STRICT:
+            raise
+        reason = f"analyzer error: {type(exc).__name__}"
+        pointers = {
+            p.name: ParamSummary(p.name, p.declared_type.address_space,
+                                 _elem_size(p.declared_type.pointee),
+                                 fallback_reason=reason, mode="rw")
+            for p in fn.params if isinstance(p.declared_type, PointerType)
+        }
+        cached = KernelSummary(fn.name, pointers, [], _parse_reqd_wg(fn))
+    setattr(fn, _SUMMARY_ATTR, cached)
     return cached
+
+
+# -- the MapOverlap get() proof ---------------------------------------------
+
+
+@dataclass
+class BoundsProof:
+    """Whether every neighbourhood offset of a MapOverlap customizing
+    function provably lies in ``[-d, d]``."""
+
+    proven: bool
+    #: Inclusive range of every offset the proof bounded.
+    accesses: List[Tuple[int, int]]
+    reason: str = ""
+
+    @property
+    def reach(self) -> int:
+        """The largest ``|offset|`` (0 without accesses)."""
+        return max((max(-lo, hi) for lo, hi in self.accesses), default=0)
+
+
+_NEVER = object()
+
+
+def _iv_concrete(form: Optional[AffineForm]):
+    """``(base, {iv: coeff})`` of a form over constants and loop-induction
+    symbols only; None for anything else."""
+    if form is None or not form.base.is_const or not all(
+            c.is_const and s[0] == "iv" for s, c in form.terms.items()):
+        return None
+    return form.base.const_value, {s: c.const_value for s, c in form.terms.items()}
+
+
+def _offset_range(form: Optional[AffineForm], guards: Guards):
+    """Inclusive range of an offset with no uniform symbol, over its
+    loop-induction symbols narrowed through ``guards``: None when it
+    cannot be bounded, :data:`_NEVER` when the guards are infeasible."""
+    offset = _iv_concrete(form)
+    if offset is None:
+        return None
+    base, coeffs = offset
+    # A guard over anything else is dropped: that only widens the range.
+    concrete = [g for g in map(_iv_concrete, guards) if g is not None]
+    syms = set(coeffs) | {s for _b, gc in concrete for s in gc}
+    ranges = narrow_ranges(concrete, {s: (0, IV_LIMIT) for s in syms})
+    if ranges is None:
+        return _NEVER
+    return (base + sum(min(c * ranges[s][0], c * ranges[s][1]) for s, c in coeffs.items()),
+            base + sum(max(c * ranges[s][0], c * ranges[s][1]) for s, c in coeffs.items()))
+
+
+def prove_get_bounds(summary: KernelSummary, overlap: int) -> BoundsProof:
+    """Prove every neighbourhood access of a MapOverlap customizing
+    function — each ``get`` offset, and each direct access through its
+    pointer parameter — lies in ``[-overlap, overlap]``.
+
+    ``summary`` is the facts of the customizing function checked against
+    an ``ACCESSOR`` prototype.  A pointer that escapes the pass (an
+    alias, a cast, a hand-off to an unknown callee) fails the proof:
+    accesses through it are invisible.
+    """
+    offsets = [(alts, site.guards)
+               for site in summary.get_sites for alts in site.offsets]
+    pointer = next(iter(summary.pointers.values()), None)
+    if pointer is not None:
+        if pointer.escape is not None:
+            return BoundsProof(
+                False, [], f"pointer parameter {pointer.name!r} escapes the "
+                f"tracked access patterns ({pointer.escape})")
+        if pointer.fallback_reason is not None:
+            return BoundsProof(False, [], pointer.fallback_reason)
+        offsets += [(((fp.index, ()),), fp.guards) for fp in pointer.footprints]
+    if not offsets:
+        return BoundsProof(True, [], "no get() accesses")
+    ranges: List[Tuple[int, int]] = []
+    for alts, guards in offsets:
+        for form, alt_guards in alts:
+            span = _offset_range(form, guards + alt_guards)
+            if span is _NEVER:
+                continue  # never executes
+            if span is None:
+                shown = "a non-affine offset" if form is None else \
+                    f"offset {form.format()}"
+                return BoundsProof(False, ranges,
+                                   f"{shown} has no constant bounds")
+            ranges.append(span)
+            lo, hi = span
+            if lo < -overlap or hi > overlap:
+                return BoundsProof(
+                    False, ranges,
+                    f"offset interval [{lo}, {hi}] may exceed ±{overlap}")
+    return BoundsProof(True, ranges, "all offsets within range")
 
 
 # -- enqueue-time evaluation -------------------------------------------------

@@ -110,11 +110,7 @@ def _print_access_summaries(program, name: str):
 
     affine_params = fallback_params = 0
     for fn in program.kernels():
-        try:
-            summary = affine.cached_kernel_summary(program, fn)
-        except Exception as exc:  # never let reporting break the CLI
-            print(f"{name}: {fn.name}: access analysis failed: {exc}")
-            continue
+        summary = affine.kernel_facts(program, fn)
         print(f"{name}: kernel {fn.name}:")
         for pname, psum in summary.params.items():
             if psum.affine:

@@ -341,3 +341,23 @@ def walk(node: Node):
     yield node
     for child in children(node):
         yield from walk(child)
+
+
+def always_returns(stmt: Optional[Stmt]) -> bool:
+    """Conservatively: does every path through ``stmt`` hit a return?"""
+    if stmt is None:
+        return False
+    if isinstance(stmt, ReturnStmt):
+        return True
+    if isinstance(stmt, CompoundStmt):
+        return any(always_returns(child) for child in stmt.statements)
+    if isinstance(stmt, IfStmt):
+        return (stmt.else_branch is not None
+                and always_returns(stmt.then_branch)
+                and always_returns(stmt.else_branch))
+    if isinstance(stmt, DoStmt):
+        # The body runs at least once, unless a break or continue leaves it.
+        return always_returns(stmt.body) and not any(
+            isinstance(node, (BreakStmt, ContinueStmt)) for node in walk(stmt.body))
+    # for/while may iterate zero times; switch may match no case.
+    return False

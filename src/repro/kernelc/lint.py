@@ -13,9 +13,9 @@ rule                      severity  fires when
 barrier-divergence        warning   ``barrier()`` inside control flow whose condition
                                     depends on ``get_global_id``/``get_local_id`` —
                                     work-items may disagree on reaching it (UB on GPUs)
-constant-index-oob        error     an index into a fixed-size array is *provably*
-                                    out of bounds (interval analysis, the same engine
-                                    as ``boundcheck``)
+constant-index-oob        error     an index into a fixed-size array over constants
+                                    and loop indices only is out of bounds on every
+                                    execution reaching it (any function)
 symbolic-oob              error     the affine access analysis (SkelAccess) finds a
                                     *witness work-item* — guaranteed to exist for any
                                     launch honouring ``reqd_work_group_size`` — whose
@@ -45,8 +45,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Set
 
-from . import ast, boundcheck
-from .ctypes_ import ArrayType, PointerType
+from . import ast
+from .ctypes_ import PointerType
 from .diagnostics import Diagnostic, DiagnosticSink
 from .source import Span
 
@@ -63,19 +63,23 @@ def lint_program(program: ast.Program,
                  sink: Optional[DiagnosticSink] = None) -> List[Diagnostic]:
     """Run every lint rule over a checked ``program``; returns the
     diagnostics (also accumulated into ``sink`` when one is given)."""
+    from ..analysis import affine
+
     if sink is None:
         sink = DiagnosticSink(getattr(program, "source", None))
     before = len(sink.diagnostics)
+    reported: Set[int] = set()
     for fn in program.functions:
         if fn.body is None:
             continue
+        facts = affine.kernel_facts(program, fn)
         _check_barrier_divergence(fn, sink)
-        _check_constant_index_oob(fn, sink)
+        _check_array_indices(facts, fn.is_kernel, sink, reported)
         _check_unused_bindings(fn, sink)
         _check_write_to_constant(fn, sink)
         _check_missing_return(fn, sink)
         if fn.is_kernel:
-            _check_access_footprints(program, fn, sink)
+            _check_coalescing(facts, sink)
     _apply_suppressions(program, sink, before)
     return sink.diagnostics[before:]
 
@@ -184,47 +188,6 @@ def _check_barrier_divergence(fn: ast.FunctionDef, sink: DiagnosticSink) -> None
     visit(fn.body, None)
 
 
-# -- rule: constant-index-oob ------------------------------------------------
-
-
-class _OobScanner(boundcheck.IntervalAnalyzer):
-    """Reuses the boundcheck interval engine to prove indices OOB.
-
-    Only *definite* violations are reported: the index interval is known
-    (not ⊤) and lies entirely outside ``[0, length)``, so every
-    execution reaching the access is out of bounds."""
-
-    def __init__(self, sink: DiagnosticSink):
-        super().__init__()
-        self.sink = sink
-        self._reported: Set[int] = set()
-
-    def visit_expr(self, node: ast.Expr, env) -> None:
-        super().visit_expr(node, env)
-        if not isinstance(node, ast.Index) or id(node) in self._reported:
-            return
-        base_type = getattr(node.base, "ctype", None)
-        if not isinstance(base_type, ArrayType):
-            return
-        interval = self.eval(node.index, env)
-        if interval.is_top:
-            return
-        if interval.hi < 0 or interval.lo >= base_type.length:
-            self._reported.add(id(node))
-            shown = (f"{int(interval.lo)}" if interval.lo == interval.hi
-                     else f"[{int(interval.lo)}, {int(interval.hi)}]")
-            self.sink.error(
-                f"index {shown} is out of bounds for array of length "
-                f"{base_type.length} [constant-index-oob]",
-                node.span,
-            )
-
-
-def _check_constant_index_oob(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
-    scanner = _OobScanner(sink)
-    scanner.exec_stmt(fn.body, boundcheck.IntervalEnv())
-
-
 # -- rule: unused-binding ----------------------------------------------------
 
 
@@ -287,28 +250,10 @@ def _check_write_to_constant(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
 # -- rule: missing-return ----------------------------------------------------
 
 
-def _always_returns(stmt: Optional[ast.Stmt]) -> bool:
-    """Conservatively: does every path through ``stmt`` hit a return?"""
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.ReturnStmt):
-        return True
-    if isinstance(stmt, ast.CompoundStmt):
-        return any(_always_returns(child) for child in stmt.statements)
-    if isinstance(stmt, ast.IfStmt):
-        return (stmt.else_branch is not None
-                and _always_returns(stmt.then_branch)
-                and _always_returns(stmt.else_branch))
-    if isinstance(stmt, ast.DoStmt):
-        return _always_returns(stmt.body)  # body runs at least once
-    # for/while may iterate zero times; switch may match no case.
-    return False
-
-
 def _check_missing_return(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
     if fn.return_type.is_void() or fn.is_kernel:
         return
-    if not _always_returns(fn.body):
+    if not ast.always_returns(fn.body):
         sink.warning(
             f"{fn.name}() returns {fn.return_type} but may fall off the end "
             f"without a return value [missing-return]",
@@ -316,12 +261,15 @@ def _check_missing_return(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
         )
 
 
-# -- rules: symbolic-oob / uncoalesced-access / strided-global-read ----------
+# -- rules: constant-index-oob / symbolic-oob / uncoalesced-access /
+#    strided-global-read
 #
-# Both build on the SkelAccess affine summary (repro.analysis.affine):
-# symbolic-oob searches for a concrete *witness work-item* whose array
-# index provably escapes the bounds, uncoalesced-access/strided-global-
-# read look at the per-work-item stride of each __global footprint.
+# All build on the kernel facts (repro.analysis.affine.kernel_facts):
+# constant-index-oob bounds a work-item-independent index over its loop
+# ranges, symbolic-oob searches for a concrete *witness work-item*
+# whose array index provably escapes the bounds, uncoalesced-access/
+# strided-global-read look at the per-work-item stride of each __global
+# footprint.
 
 #: Coalescing threshold: an element stride of +-1 (or 0, a broadcast)
 #: between lane-adjacent work-items coalesces into one DRAM burst;
@@ -329,18 +277,6 @@ def _check_missing_return(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
 _COALESCE_MAX_STRIDE = 1
 
 _MAX_WITNESS_SYMS = 6
-
-
-def _check_access_footprints(program: ast.Program, fn: ast.FunctionDef,
-                             sink: DiagnosticSink) -> None:
-    from ..analysis import affine
-
-    try:
-        summary = affine.cached_kernel_summary(program, fn)
-    except Exception:
-        return  # the lint pass must never break a build
-    _check_symbolic_oob(summary, sink)
-    _check_coalescing(summary, sink)
 
 
 def _witness_ranges(summary) -> dict:
@@ -376,21 +312,48 @@ def _corners(ranges: dict, syms: list) -> list:
     return points
 
 
-def _check_symbolic_oob(summary, sink: DiagnosticSink) -> None:
+def _check_array_indices(summary, is_kernel: bool, sink: DiagnosticSink,
+                         reported: Set[int]) -> None:
+    """``constant-index-oob`` and, in kernels, ``symbolic-oob`` over the
+    fixed-size array sites of ``summary``.
+
+    An index over constants and loop-induction symbols is the same for
+    every work-item: when its whole range (the loop symbols narrowed
+    through the guards on the access) lies outside the array, every
+    execution reaching the site is wrong — ``constant-index-oob``.  A
+    work-item-dependent index needs a witness work-item satisfying every
+    guard on the access — ``symbolic-oob``."""
     from ..analysis import affine
 
     env = affine.EvalEnv(_witness_uniforms(summary), _witness_ranges(summary))
-    reported: Set[int] = set()
     for site in summary.array_sites:
         if site.index is None or id(site.span) in reported:
             continue
         try:
             base, coeffs = affine._concrete(site.index, env)
-            guards = [affine._concrete(g, env) for g in site.guards]
         except KeyError:
             continue  # references a scalar parameter: not definite
-        if not coeffs:
-            continue  # constant index: constant-index-oob's territory
+        span = (base, base) if not coeffs else \
+            affine._offset_range(site.index, site.guards)
+        # A loop index the guards leave unbounded is not reported: its
+        # loop could not be modelled, like a possibly-OOB index.
+        if isinstance(span, tuple) and max(map(abs, span)) < affine.IV_LIMIT // 2 \
+                and (span[1] < 0 or span[0] >= site.length):
+            reported.add(id(site.span))
+            lo, hi = span
+            shown = lo if lo == hi else f"[{lo}, {hi}]"
+            sink.error(
+                f"index {shown} is out of bounds for array of length "
+                f"{site.length} [constant-index-oob]",
+                site.span,
+            )
+            continue
+        if not coeffs or not is_kernel:
+            continue
+        try:
+            guards = [affine._concrete(g, env) for g in site.guards]
+        except KeyError:
+            continue
         syms = sorted(set(coeffs) | {s for _b, gc in guards for s in gc})
         if len(syms) > _MAX_WITNESS_SYMS or any(
                 s not in env.ranges and s[0] != "iv" for s in syms):

@@ -25,6 +25,7 @@ base directory hosts the default location (``<dir>/programs``, i.e.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import io
 import os
@@ -52,17 +53,19 @@ def cache_dir() -> str:
 
 
 def _toolchain_fingerprint() -> str:
-    """A digest over the kernelc sources: any compiler change invalidates
-    the cache wholesale (cheap and safe; computed once per process)."""
+    """A digest over the kernelc sources and the kernel-facts pass (its
+    summaries travel pickled on the checked functions): any change
+    invalidates the cache wholesale (cheap and safe; computed once per
+    process)."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
         digest = hashlib.sha256()
         package_dir = os.path.dirname(os.path.abspath(__file__))
-        for entry in sorted(os.listdir(package_dir)):
-            if not entry.endswith(".py"):
-                continue
-            digest.update(entry.encode())
-            with open(os.path.join(package_dir, entry), "rb") as handle:
+        paths = sorted(glob.glob(os.path.join(package_dir, "*.py")))
+        paths.append(os.path.join(package_dir, os.pardir, "analysis", "affine.py"))
+        for path in paths:
+            digest.update(os.path.basename(path).encode())
+            with open(path, "rb") as handle:
                 digest.update(handle.read())
         _fingerprint_cache = digest.hexdigest()
     return _fingerprint_cache

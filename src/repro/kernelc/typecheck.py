@@ -26,7 +26,7 @@ Annotations added to nodes (consumed by the backends):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import ast
 from .builtins import BUILTIN_CONSTANTS, BuiltinError, resolve_builtin
@@ -66,6 +66,8 @@ class TypeChecker:
         self.current_function: Optional[ast.FunctionDef] = None
         self.loop_depth = 0
         self.switch_depth = 0
+        # (caller, call) of every user-function call, for the recursion check.
+        self.user_calls: List[Tuple[ast.FunctionDef, ast.Call]] = []
 
     # -- driver ------------------------------------------------------------
 
@@ -75,6 +77,7 @@ class TypeChecker:
             self._check_global(global_decl)
         for function in self.program.functions:
             self._check_function(function)
+        self._check_recursion()
         self.program.uses_barrier = any(
             getattr(fn, "uses_barrier", False) for fn in self.program.functions
         )
@@ -93,6 +96,31 @@ class TypeChecker:
                 self.sink.error(
                     f"function {function.name!r} shadows an OpenCL builtin", function.span
                 )
+
+    def _check_recursion(self) -> None:
+        """OpenCL C forbids recursion: report every call that closes a
+        cycle in the call graph."""
+        callees: Dict[int, List[ast.Call]] = {}
+        for caller, call in self.user_calls:
+            callees.setdefault(id(caller), []).append(call)
+        state: Dict[int, int] = {}  # id(fn) -> 1 on the DFS stack, 2 done
+
+        def visit(fn: ast.FunctionDef) -> None:
+            state[id(fn)] = 1
+            for call in callees.get(id(fn), ()):
+                target = call.callee_def
+                mark = state.get(id(target))
+                if mark == 1:
+                    self.sink.error(
+                        f"recursive call to {target.name!r}: OpenCL C forbids "
+                        f"recursion", call.span)
+                elif mark is None:
+                    visit(target)
+            state[id(fn)] = 2
+
+        for function in self.program.functions:
+            if id(function) not in state:
+                visit(function)
 
     def _check_global(self, global_decl: ast.GlobalDecl) -> None:
         decl = global_decl.decl
@@ -594,6 +622,8 @@ class TypeChecker:
                          arg_types: List[CType]) -> Optional[CType]:
         expr.kind = "user"
         expr.callee_def = target
+        if self.current_function is not None:
+            self.user_calls.append((self.current_function, expr))
         if target.is_kernel:
             self.sink.error(f"cannot call __kernel function {target.name!r} from a kernel", expr.span)
             return None

@@ -45,7 +45,7 @@ Intentional differences (documented, all under undefined behaviour):
   (still unspecified) results.
 
 Kernels using constructs with no lockstep lowering (vector types,
-pointer casts, recursion, barriers inside helper functions, …) are
+pointer casts, barriers inside helper functions, …) are
 rejected statically by :func:`plan_for` and fall back transparently to
 the per-item interpreter.  ``switch`` statements run as masked case
 dispatch: every lane computes its entry case, then the cases execute in
@@ -56,7 +56,7 @@ order with the union of lanes that have reached them (C fallthrough),
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -171,17 +171,14 @@ def _function_reject_reason(fn: ast.FunctionDef) -> Optional[str]:
 
 def reject_reason(kernel: CompiledKernel) -> Optional[str]:
     """Why ``kernel`` cannot run on the vector backend (None = it can)."""
-    # Reachable user functions (cycle detection rejects recursion).
+    # Reachable user functions (the type checker rejects recursion).
     order: List[ast.FunctionDef] = []
-    state: Dict[int, int] = {}  # id(fn) -> 1 visiting, 2 done
+    seen: Set[int] = set()
 
     def visit(fn: ast.FunctionDef) -> Optional[str]:
-        mark = state.get(id(fn))
-        if mark == 1:
-            return "recursion"
-        if mark == 2:
+        if id(fn) in seen:
             return None
-        state[id(fn)] = 1
+        seen.add(id(fn))
         order.append(fn)
         for node in ast.walk(fn.body):
             if isinstance(node, ast.Call) and getattr(node, "kind", "") == "user":
@@ -191,7 +188,6 @@ def reject_reason(kernel: CompiledKernel) -> Optional[str]:
                 reason = visit(target)
                 if reason is not None:
                     return reason
-        state[id(fn)] = 2
         return None
 
     reason = visit(kernel.definition)

@@ -107,16 +107,18 @@ def _elementwise_key(offset_param):
 
 def _footprints_ok(source: str, spec: Dict[str, tuple]) -> bool:
     from ..analysis import affine
+    from ..kernelc.diagnostics import CompileError
     from ..kernelc.frontend import compile_source
+    from ..kernelc.preprocessor import PreprocessorError
 
     try:
         program = compile_source(source, "<fusion legality>")
-        kernels = program.kernels()
-        if len(kernels) != 1:
-            return False
-        summary = affine.summarize_kernel(program, kernels[0])
-    except Exception:
+    except (CompileError, PreprocessorError):
+        return False  # the eager build reports it
+    kernels = program.kernels()
+    if len(kernels) != 1:
         return False
+    summary = affine.kernel_facts(program, kernels[0])
     for name, psum in summary.params.items():
         expected = spec.get(name)
         if expected is None or not psum.affine:

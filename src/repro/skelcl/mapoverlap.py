@@ -18,7 +18,7 @@ yields the *neutral value* (``SCL_NEUTRAL``) or the nearest valid
 element (``SCL_NEAREST``).  Accesses beyond the declared overlap ``d``
 are rejected by a runtime range check in ``get`` (the checks the paper
 proposes eliminating statically — see
-:mod:`repro.kernelc.boundcheck`).
+:func:`repro.analysis.affine.prove_get_bounds`).
 
 **Implementation** (mirrors the real SkelCL, cf. §4.2: "the NVIDIA
 implementation and the MapOverlap skeleton of SkelCL" use fast local
@@ -39,8 +39,14 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
+from ..analysis import affine
+from ..kernelc import ast
+from ..kernelc.ctypes_ import PointerType
+from ..kernelc.diagnostics import CompileError
+from ..kernelc.frontend import compile_preprocessed
 from .distribution import Block, Copy, Distribution, Overlap, Single
-from .funcparse import append_hidden_params, pointer_param, scalar_return
+from .funcparse import (UserFunction, append_hidden_params, pointer_param,
+                        scalar_return)
 from .matrix import Matrix
 from .runtime import SkelCLError, get_runtime
 from .skeleton import (Skeleton, default_call_label, partitioned,
@@ -223,6 +229,27 @@ _MATRIX_LOAD_NEAREST = """\
         {t} SCL_V = SCL_IN[SCL_RIDX * SCL_W + SCL_CX];"""
 
 
+def prove_customizer_bounds(user: UserFunction, overlap: int) -> affine.BoundsProof:
+    """Type-check a customizing function once against a ``get``
+    prototype and prove its neighbourhood offsets lie in ``[-overlap,
+    overlap]`` from its kernel facts."""
+    source = user.source
+    pointer = user.param_types[0] if user.param_types else None
+    if isinstance(pointer, PointerType):
+        calls = (node for node in ast.walk(user.definition.body)
+                 if isinstance(node, ast.Call) and node.callee == affine.ACCESSOR)
+        arity = next((len(call.args) for call in calls), 2)
+        params = [f"{pointer} m"] + [f"int d{i}" for i in range(1, arity)]
+        source += f"\n{pointer.pointee} {affine.ACCESSOR}({', '.join(params)});\n"
+    try:
+        program = compile_preprocessed(source, "<customizing function>")
+    except CompileError as exc:
+        return affine.BoundsProof(False, [], "customizing function does not "
+                                  f"type-check: {exc.diagnostics[0].message}")
+    return affine.prove_get_bounds(
+        affine.kernel_facts(program, program.functions[-1]), overlap)
+
+
 class MapOverlap(Skeleton):
     def __init__(self, source, overlap: int,
                  boundary: BoundaryMode = BoundaryMode.NEUTRAL, neutral=0,
@@ -245,9 +272,7 @@ class MapOverlap(Skeleton):
         # Static bounds proof (the paper's §3.4 future work): when every
         # get() offset is provably within ±d, the runtime range checks
         # are compiled out.
-        from ..kernelc.boundcheck import analyze_get_bounds
-
-        self.bounds_proof = analyze_get_bounds(self.user.definition, overlap)
+        self.bounds_proof = prove_customizer_bounds(self.user, overlap)
         self.checks_elided = static_bounds and self.bounds_proof.proven
 
     def _bind_user(self) -> None:
@@ -271,13 +296,7 @@ class MapOverlap(Skeleton):
         ``skelcl_transfer_bytes_saved_total``)."""
         if not self.checks_elided:
             return self.overlap
-        reach = 0
-        for intervals in self.bounds_proof.accesses:
-            for interval in intervals:
-                if interval.is_top:
-                    return self.overlap
-                reach = max(reach, int(max(abs(interval.lo), abs(interval.hi))))
-        return min(reach, self.overlap)
+        return min(self.bounds_proof.reach, self.overlap)
 
     # -- code generation ------------------------------------------------------
 

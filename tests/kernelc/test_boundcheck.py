@@ -1,42 +1,12 @@
-"""Static bounds analysis tests (the paper's §3.4 future work)."""
+"""Static get() bounds proofs (the paper's §3.4 future work), read from
+the kernel facts of the customizing function."""
 
-import pytest
-
-from repro.kernelc.boundcheck import Interval, analyze_get_bounds
-from repro.kernelc.parser import parse
+from repro.skelcl.funcparse import parse_user_function
+from repro.skelcl.mapoverlap import prove_customizer_bounds
 
 
 def analyze(source: str, overlap: int):
-    program = parse(source)
-    return analyze_get_bounds(program.functions[-1], overlap)
-
-
-class TestInterval:
-    def test_const(self):
-        i = Interval.const(3)
-        assert i.lo == i.hi == 3
-        assert not i.is_top
-
-    def test_arithmetic(self):
-        a = Interval(-1, 2)
-        b = Interval(0, 3)
-        assert (a + b) == Interval(-1, 5)
-        assert (a - b) == Interval(-4, 2)
-        assert (-a) == Interval(-2, 1)
-
-    def test_multiplication_corners(self):
-        assert Interval(-2, 3) * Interval(-1, 4) == Interval(-8, 12)
-
-    def test_top_propagates(self):
-        assert (Interval.top() + Interval.const(1)).is_top
-        assert (Interval.top() * Interval.const(0)).is_top  # conservative
-
-    def test_join(self):
-        assert Interval(-1, 0).join(Interval(2, 5)) == Interval(-1, 5)
-
-    def test_within(self):
-        assert Interval(-1, 1).within(-1, 1)
-        assert not Interval(-2, 1).within(-1, 1)
+    return prove_customizer_bounds(parse_user_function(source), overlap)
 
 
 class TestProofs:
@@ -148,15 +118,59 @@ class TestProofs:
         assert analyze("float f(float x) { return x; }", 1).proven
 
     def test_descending_loop_not_matched_but_safe(self):
-        # Descending loops are not pattern-matched: the analysis must
-        # conservatively reject, never wrongly prove.
+        # A descending loop binds i = 1 - t with the guard t <= 2: the
+        # proof holds, and the claimed reach covers every offset the
+        # loop takes (1, 0, -1) — never a wrong proof.
         source = """
         float f(float* m) {
             float s = 0.0f;
             for (int i = 1; i >= -1; --i) s += get(m, i, 0);
             return s;
         }"""
-        assert not analyze(source, 1).proven
+        proof = analyze(source, 1)
+        assert proof.proven
+        taken = [1, 0, -1]
+        assert any(all(lo <= v <= hi for v in taken) for lo, hi in proof.accesses)
+        assert proof.reach == 1
+        assert not analyze(source, 0).proven
+
+    def test_early_return_in_a_case_does_not_guard_later_cases(self):
+        # With k != 0 the default case is entered directly and reads
+        # get(m, 3, 0): case 0's early return implies i <= 0 only inside
+        # case 0.
+        source = """
+        float f(float* m, int k) {
+            float s = 0.0f;
+            for (int i = 0; i < 4; i++) {
+                switch (k) {
+                case 0: if (i > 0) return s; break;
+                default: s += get(m, i, 0);
+                }
+            }
+            return s;
+        }"""
+        proof = analyze(source, 1)
+        assert not proof.proven
+        assert (0, 3) in proof.accesses
+        assert analyze(source, 3).proven
+
+    def test_do_body_left_by_break_guards_nothing_after_it(self):
+        # With k != 0 the break skips the early return, and the get()
+        # after the do reads offset 3.
+        for body in ("do { if (k) break; if (i > 0) return s; } while (0);",
+                     "if (i > 0) do { if (k) break; return s; } while (0);"):
+            source = f"""
+            float f(float* m, int k) {{
+                float s = 0.0f;
+                for (int i = 0; i < 4; i++) {{
+                    {body}
+                    s += get(m, i, 0);
+                }}
+                return s;
+            }}"""
+            proof = analyze(source, 1)
+            assert not proof.proven, body
+            assert (0, 3) in proof.accesses, body
 
     def test_ternary_offset(self):
         source = "float f(float* m, int c) { return get(m, c ? 1 : -1, 0); }"
@@ -176,11 +190,20 @@ class TestPointerEscape:
         assert "escapes" in proof.reason
 
     def test_pointer_passed_to_helper_poisons_proof(self):
+        # A helper's accesses are followed through the call: q[3] is an
+        # offset of 3, outside the overlap of 1.
         source = """
         float pick(float* q) { return q[3]; }
         float f(float* v) { return pick(v); }
         """
-        assert not analyze(source, 1).proven
+        proof = analyze(source, 1)
+        assert not proof.proven
+        assert (3, 3) in proof.accesses
+
+    def test_pointer_passed_to_unknown_callee_escapes(self):
+        proof = analyze("float f(float* v) { return vload4(0, v).x; }", 1)
+        assert not proof.proven
+        assert "escapes" in proof.reason
 
     def test_pointer_in_unmodelled_arithmetic_poisons_proof(self):
         assert not analyze(

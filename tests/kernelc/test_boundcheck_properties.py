@@ -1,98 +1,81 @@
-"""Property tests for the boundcheck interval lattice (hypothesis).
+"""Property tests for the get() bounds proof (hypothesis).
 
-The lint pass and the MapOverlap bounds proof both lean on this engine,
-so its algebra gets adversarial coverage: lattice laws for ``join``,
-soundness of interval arithmetic against concrete values, and soundness
-of the for-loop pattern matcher against actual loop iteration.
+The MapOverlap proof reads offsets from the kernel facts, so the affine
+algebra those offsets are built with gets adversarial coverage — exact
+evaluation of ``+``, ``-``, scaling and negation against concrete
+values, and soundness of the guard-narrowed offset range — and the
+proof itself is checked against actual loop iteration.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernelc.boundcheck import Interval, analyze_get_bounds
-from repro.kernelc.parser import parse
+from repro.analysis import affine
+from repro.analysis.affine import AffineForm, UExpr
+from repro.skelcl.funcparse import parse_user_function
+from repro.skelcl.mapoverlap import prove_customizer_bounds
 
 BOUND = 64
 
 values = st.integers(min_value=-BOUND, max_value=BOUND)
+IVS = [("iv", 1), ("iv", 2)]
 
 
 @st.composite
-def intervals(draw):
-    if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
-        return Interval.top()
-    a = draw(values)
-    b = draw(values)
-    return Interval(min(a, b), max(a, b))
+def forms(draw):
+    """An offset form ``c + a*t1 + b*t2`` over two induction symbols."""
+    terms = {sym: UExpr.const(draw(values)) for sym in IVS}
+    return AffineForm(UExpr.const(draw(values)), terms)
 
 
-def contains(interval, value):
-    return interval.lo <= value <= interval.hi
+points = st.fixed_dictionaries({sym: st.integers(0, BOUND) for sym in IVS})
 
 
-def subsumes(wider, narrower):
-    """wider ⊒ narrower in the interval lattice."""
-    return wider.lo <= narrower.lo and narrower.hi <= wider.hi
+def at(form, point):
+    base, coeffs = affine._concrete(form, affine.EvalEnv({}, {}))
+    return base + sum(c * point[s] for s, c in coeffs.items())
 
 
-class TestJoinLattice:
-    @given(intervals())
-    def test_join_idempotent(self, a):
-        assert a.join(a) == a
-
-    @given(intervals(), intervals())
-    def test_join_commutative(self, a, b):
-        assert a.join(b) == b.join(a)
-
-    @given(intervals(), intervals(), intervals())
-    def test_join_associative(self, a, b, c):
-        assert a.join(b).join(c) == a.join(b.join(c))
-
-    @given(intervals(), intervals())
-    def test_join_is_an_upper_bound(self, a, b):
-        joined = a.join(b)
-        assert subsumes(joined, a) and subsumes(joined, b)
-
-    @given(intervals(), intervals(), intervals())
-    def test_join_monotone(self, a, b, c):
-        # a ⊑ a⊔c, so (a⊔c)⊔b must subsume a⊔b (monotonicity in the
-        # left argument; commutativity gives the right one).
-        widened = a.join(c)
-        assert subsumes(widened.join(b), a.join(b))
-
-    @given(intervals())
-    def test_top_absorbs(self, a):
-        assert a.join(Interval.top()).is_top
+def contains(span, value):
+    return span[0] <= value <= span[1]
 
 
 class TestArithmeticSoundness:
-    """γ-soundness: x ∈ a and y ∈ b imply x∘y ∈ a∘b."""
+    """Offsets are evaluated exactly: f(p) op g(p) == (f op g)(p)."""
 
-    @given(intervals(), intervals(), st.data())
-    def test_add_sub_mul_sound(self, a, b, data):
-        x = data.draw(st.integers(int(max(a.lo, -BOUND)), int(min(a.hi, BOUND))))
-        y = data.draw(st.integers(int(max(b.lo, -BOUND)), int(min(b.hi, BOUND))))
-        assert contains(a + b, x + y)
-        assert contains(a - b, x - y)
-        assert contains(a * b, x * y)
+    @given(forms(), forms(), values, points)
+    def test_add_sub_mul_sound(self, a, b, k, point):
+        assert at(a + b, point) == at(a, point) + at(b, point)
+        assert at(a - b, point) == at(a, point) - at(b, point)
+        assert at(a.mul(AffineForm.const(k)), point) == at(a, point) * k
+        assert a.mul(b) is None or a.is_uniform or b.is_uniform
 
-    @given(intervals(), st.data())
-    def test_neg_sound(self, a, data):
-        x = data.draw(st.integers(int(max(a.lo, -BOUND)), int(min(a.hi, BOUND))))
-        assert contains(-a, -x)
+    @given(forms(), points)
+    def test_neg_sound(self, a, point):
+        assert at(-a, point) == -at(a, point)
 
-    @given(intervals(), intervals(), st.data())
-    def test_operations_monotone(self, a, b, data):
-        # Widening an operand may only widen the result.
-        wider = a.join(data.draw(intervals()))
-        assert subsumes(wider + b, a + b)
-        assert subsumes(wider - b, a - b)
-        assert subsumes(wider * b, a * b)
+    @given(forms(), forms(), st.data())
+    def test_operations_monotone(self, a, guard, data):
+        # Every guard only narrows: the range under (guard) lies inside
+        # the range without it, and both contain every value the form
+        # takes on a point satisfying the guard.
+        limits = (AffineForm.sym(IVS[0]) - AffineForm.const(BOUND),
+                  AffineForm.sym(IVS[1]) - AffineForm.const(BOUND))
+        wide = affine._offset_range(a, limits)
+        narrow = affine._offset_range(a, limits + (guard,))
+        point = data.draw(points)
+        if narrow is affine._NEVER:
+            assert at(guard, point) > 0
+            return
+        assert wide[0] <= narrow[0] and narrow[1] <= wide[1]
+        if at(guard, point) <= 0:
+            assert contains(narrow, at(a, point))
 
-    @given(intervals())
-    def test_within_respects_top(self, a):
-        if a.is_top:
-            assert not a.within(-BOUND, BOUND)
+    @given(forms(), st.sampled_from([("param", "n"), ("gsize", 0)]))
+    def test_within_respects_top(self, a, uniform):
+        # An offset with a uniform symbol in it is unbounded (⊤): it
+        # never gets a range, so it never proves.
+        assert affine._offset_range(a + AffineForm.sym(uniform), ()) is None
 
 
 class TestForLoopBoundSoundness:
@@ -114,7 +97,6 @@ class TestForLoopBoundSoundness:
             for (int i = {start}; i {op} {bound}; {increment}) s += get(m, i, 0);
             return s;
         }}"""
-        program = parse(source)
 
         # Concrete iteration values of the loop.
         concrete = []
@@ -123,26 +105,20 @@ class TestForLoopBoundSoundness:
             concrete.append(i)
             i += step
 
-        proof = analyze_get_bounds(program.functions[-1], BOUND)
+        proof = prove_customizer_bounds(parse_user_function(source), BOUND)
         if not concrete:
-            # Zero-trip loop: any interval is vacuously sound; the
-            # proof must still not crash and stays conservative.
-            assert proof.accesses is not None
+            # Zero-trip loop: the guard is infeasible, the access never
+            # executes, and no range is claimed for it.
+            assert proof.proven and proof.accesses == []
             return
-        # Soundness: every concretely-taken offset lies inside the
-        # claimed interval for every collected access.
+        # Soundness: every concretely-taken offset lies inside the range
+        # claimed for the get() call's first offset — and here the
+        # guard-narrowed range is exact.
         assert proof.accesses, "loop body access was not collected"
-        for offsets in proof.accesses:
-            row = offsets[0]
-            for value in concrete:
-                assert contains(row, value), (
-                    f"offset {value} escapes claimed interval "
-                    f"[{row.lo}, {row.hi}] for {source}"
-                )
+        row = proof.accesses[0]
+        for value in concrete:
+            assert contains(row, value), (
+                f"offset {value} escapes claimed interval {row} for {source}")
+        assert row == (min(concrete), max(concrete))
         # And the proof agrees with a brute-force overlap check.
-        widest = max(max(abs(v) for v in concrete), 0)
-        assert proof.proven == all(
-            contains(Interval(-BOUND, BOUND), v) for v in concrete
-        ) or not proof.proven  # conservative rejection is always allowed
-        if proof.proven:
-            assert widest <= BOUND
+        assert proof.proven == all(-BOUND <= v <= BOUND for v in concrete)

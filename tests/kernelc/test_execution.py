@@ -9,6 +9,7 @@ its per-item fallback) so the two stay in lockstep.
 import numpy as np
 import pytest
 
+from repro.kernelc.diagnostics import CompileError
 from repro.kernelc.memory import KernelFault
 
 from .helpers import run_kernel
@@ -255,11 +256,15 @@ class TestFunctionsAndMemory:
         assert run1(src, {"o": np.zeros(1, np.int32)}, ["o"], backend=backend)["o"][0] == 55
 
     def test_recursive_function(self, backend):
+        # OpenCL C forbids recursion: the build fails at the call site
+        # that closes the cycle, before either engine runs.
         src = """
         int fact(int n) { return n <= 1 ? 1 : n * fact(n - 1); }
         __kernel void k(__global int* o) { o[0] = fact(6); }
         """
-        assert run1(src, {"o": np.zeros(1, np.int32)}, ["o"], backend=backend)["o"][0] == 720
+        with pytest.raises(CompileError, match="recursive call to 'fact'") as info:
+            run1(src, {"o": np.zeros(1, np.int32)}, ["o"], backend=backend)
+        assert info.value.diagnostics[0].span.start.line == 2
 
     def test_pointer_walk(self, backend):
         src = """__kernel void k(__global const int* in, __global int* o, int n) {

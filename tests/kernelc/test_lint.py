@@ -125,6 +125,62 @@ class TestConstantIndexOob:
             "[constant-index-oob]",
         )
 
+    def test_loop_index_out_of_bounds_in_a_helper(self):
+        # Every iteration writes past the end: reported in a helper as
+        # in a kernel, once, with the loop's index range.
+        for where in ("helper", "kernel"):
+            body = """
+                int a[4];
+                for (int i = 4; i < 6; i++) a[i] = 0;
+                out[0] = (float)a[0];"""
+            source = (f"void h(__global float* out) {{ {body} }}\n"
+                      "__kernel void k(__global float* out) { h(out); }"
+                      if where == "helper" else
+                      f"__kernel void k(__global float* out) {{ {body} }}")
+            found = [d for d in lint(source) if "oob]" in d.message]
+            assert [d.message for d in found] == [
+                "index [4, 5] is out of bounds for array of length 4 "
+                "[constant-index-oob]"], where
+
+    def test_guarded_loop_index_range_is_narrowed(self):
+        found = tagged(
+            """
+            void h(__global float* out) {
+                int a[4];
+                for (int i = 0; i < 8; i++) if (i >= 5) a[i] = 0;
+                out[0] = (float)a[0];
+            }
+            __kernel void k(__global float* out) { h(out); }""",
+            "[constant-index-oob]",
+        )
+        assert len(found) == 1
+        assert "index [5, 7]" in found[0].message
+
+    def test_unbounded_loop_index_is_silent(self):
+        # i < n bounds nothing the pass can use: with n <= 4 the loop
+        # never runs, so the access is not definitely out of bounds.
+        assert not tagged(
+            """
+            __kernel void k(__global float* out, int n) {
+                int a[4];
+                for (int i = 4; i < n; i++) a[i] = 0;
+                out[0] = (float)a[0];
+            }""",
+            "oob]",
+        )
+
+    def test_zero_trip_loop_is_silent(self):
+        # The body never runs, so no execution reaches a[4].
+        assert not tagged(
+            """
+            __kernel void k(__global float* out) {
+                int a[4];
+                for (int i = 4; i < 4; i++) a[i] = 0;
+                out[0] = (float)a[0];
+            }""",
+            "[constant-index-oob]",
+        )
+
 
 class TestUnusedBinding:
     def test_unused_parameter_and_local_warn(self):
